@@ -3,16 +3,20 @@
 
     The machine is SIMD: every node executes the same instruction
     stream, so the microcode interpreter runs the data computation on
-    each node's memory but accounts cycles once.  Node memories are
-    sized generously; the paper's arrays (a 64 x 64 to 128 x 256
-    subgrid per node plus halo temporaries and coefficient arrays) fit
-    comfortably. *)
+    each node's memory but accounts cycles once.  Each node memory has
+    a fixed capacity, its modeled address space, which bounds every
+    allocation; the paper's arrays (a 64 x 64 to 128 x 256 subgrid per
+    node plus halo temporaries and coefficient arrays) fit in the
+    default.  The host materializes only the words a node's
+    allocations actually reach ({!Memory.raw}), so a fresh machine
+    costs next to nothing whatever its capacity. *)
 
 type t
 
 val create : ?memory_words:int -> Config.t -> t
 (** Build a machine from a configuration.  [memory_words] is the
-    per-node memory size (default 1,048,576 words). *)
+    per-node memory capacity (default 1,048,576 words); no node store
+    is materialized until it is allocated into. *)
 
 val config : t -> Config.t
 val geometry : t -> Geometry.t

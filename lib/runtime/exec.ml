@@ -151,24 +151,33 @@ let fast_node_compute pattern ~(source : Halo.exchange) ~(dst : Dist.t)
 (* Resolve a kernel against the statement's standing regions: the
    layouts are identical on every node (Machine.alloc_all asserts it),
    so one specialization — and one tile decomposition — serves the
-   whole machine. *)
+   whole machine.  Walks are validated against the node capacity; every
+   node's store is then materialized out to the walk's extent here, on
+   the coordinating domain before the pool phase, so a walk that strays
+   past the last allocated region (a corrupted kernel) reads the zeros
+   a full-capacity store would hold. *)
 let specialize_kernel kernel machine ~tile ~(halos : Halo.exchange array)
     ~(dst : Dist.t) ~(streams : Dist.t array) =
-  Kernel.specialize kernel ~tile ~sub_rows:dst.Dist.sub_rows
-    ~sub_cols:dst.Dist.sub_cols
-    ~sources:
-      (Array.map
-         (fun (h : Halo.exchange) ->
-           {
-             Kernel.base = h.Halo.padded.Memory.base;
-             pcols = h.Halo.padded_cols;
-             pad = h.Halo.pad;
-           })
-         halos)
-    ~coeff_bases:(Array.map (fun d -> d.Dist.region.Memory.base) streams)
-    ~dst_base:dst.Dist.region.Memory.base
-    ~words:(Memory.words (Machine.memory machine 0))
-    ()
+  let spec =
+    Kernel.specialize kernel ~tile ~sub_rows:dst.Dist.sub_rows
+      ~sub_cols:dst.Dist.sub_cols
+      ~sources:
+        (Array.map
+           (fun (h : Halo.exchange) ->
+             {
+               Kernel.base = h.Halo.padded.Memory.base;
+               pcols = h.Halo.padded_cols;
+               pad = h.Halo.pad;
+             })
+           halos)
+      ~coeff_bases:(Array.map (fun d -> d.Dist.region.Memory.base) streams)
+      ~dst_base:dst.Dist.region.Memory.base
+      ~words:(Memory.words (Machine.memory machine 0))
+      ()
+  in
+  Machine.iter_nodes machine (fun _ mem ->
+      Memory.reserve mem (Kernel.extent spec));
+  spec
 
 (* The phase shared by the one-shot path, the arena path and every
    statement of a batched run: strip the subgrid, evaluate in the

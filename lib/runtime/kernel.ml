@@ -66,9 +66,13 @@ type spec = {
   tile_nrows : int array;
   tile_col0 : int array;
   tile_ncols : int array;
+  (* One past the highest word any walk touches: the store length the
+     unchecked accesses need. *)
+  extent : int;
 }
 
 let tile_count spec = Array.length spec.tile_row0
+let extent spec = spec.extent
 
 let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
     ~(coeff_bases : int array) ~dst_base ~words () =
@@ -81,15 +85,18 @@ let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
   let n = ntaps t in
   let tap_off = Array.make n 0 and tap_stride = Array.make n 0 in
   (* Every offset below is validated against [0, words) over the whole
-     sweep once, here; that is what licenses the unchecked array
-     accesses of [exec_node]. *)
+     sweep once, here, and the highest word reached is kept as the
+     walk's extent; together with the extent check on the store in
+     [exec_tile], that is what licenses its unchecked array accesses. *)
+  let extent = ref 0 in
   let check_span who off stride =
     let last = off + ((sub_rows - 1) * stride) + (sub_cols - 1) in
     if off < 0 || stride < sub_cols || last >= words then
       invalid_arg
         (Printf.sprintf
            "Kernel.specialize: %s walk [%d..%d] stride %d escapes %d words"
-           who off last stride words)
+           who off last stride words);
+    extent := max !extent (last + 1)
   in
   for i = 0 to n - 1 do
     let src = t.srcs.(i) in
@@ -147,6 +154,7 @@ let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
     tile_nrows;
     tile_col0;
     tile_ncols;
+    extent = !extent;
   }
 
 (* The branch-free inner loop, tile-blocked and tap-interchanged: per
@@ -158,10 +166,11 @@ let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
    destination word (a double survives the store/load round trip
    bit-for-bit) — so the interchange is bit-identical to the per-cell
    walk, signed zeros included.  All accesses are subsets of the walks
-   [specialize] validated, which licenses the unchecked reads and
-   writes; the loop allocates nothing, so concurrent tiles share no
-   scratch. *)
-let exec_tile spec tile (raw : float array) =
+   [specialize] validated, and [exec_tile]/[exec_node] check that the
+   store reaches their extent before calling in (one comparison per
+   call), which licenses the unchecked reads and writes; the loop
+   allocates nothing, so concurrent tiles share no scratch. *)
+let run_tile spec tile (raw : float array) =
   let n = Array.length spec.tap_off in
   let sub_cols = spec.sub_cols in
   let row0 = Array.unsafe_get spec.tile_row0 tile in
@@ -197,9 +206,23 @@ let exec_tile spec tile (raw : float array) =
     end
   done
 
-let exec_node spec (raw : float array) =
+let check_store who spec (raw : float array) =
+  if Array.length raw < spec.extent then
+    invalid_arg
+      (Printf.sprintf
+         "Kernel.%s: %d-word store is shorter than the %d-word walk extent"
+         who (Array.length raw) spec.extent)
+
+let exec_tile spec tile raw =
+  check_store "exec_tile" spec raw;
+  if tile < 0 || tile >= tile_count spec then
+    invalid_arg "Kernel.exec_tile: tile out of range";
+  run_tile spec tile raw
+
+let exec_node spec raw =
+  check_store "exec_node" spec raw;
   for tile = 0 to tile_count spec - 1 do
-    exec_tile spec tile raw
+    run_tile spec tile raw
   done
 
 (* ------------------------------------------------------------------ *)
@@ -275,10 +298,15 @@ let verify (config : Config.t) (compiled : Compile.t) t =
       done)
     streams;
   let specialize_with tile =
-    specialize t ?tile ~sub_rows ~sub_cols
-      ~sources:[| { base = padded.Memory.base; pcols; pad } |]
-      ~coeff_bases:(Array.map (fun (r : Memory.region) -> r.Memory.base) coeffs)
-      ~dst_base:dst.Memory.base ~words:(Memory.words mem) ()
+    let spec =
+      specialize t ?tile ~sub_rows ~sub_cols
+        ~sources:[| { base = padded.Memory.base; pcols; pad } |]
+        ~coeff_bases:
+          (Array.map (fun (r : Memory.region) -> r.Memory.base) coeffs)
+        ~dst_base:dst.Memory.base ~words:(Memory.words mem) ()
+    in
+    Memory.reserve mem (extent spec);
+    spec
   in
   let spec = specialize_with None in
   exec_node spec (Memory.raw mem);

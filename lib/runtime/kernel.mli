@@ -14,7 +14,10 @@
     {!exec_tile}/{!exec_node} are branch-free offset walks over the
     raw store with unchecked accesses — licensed by the bounds
     validation that {!specialize} performs over the whole sweep up
-    front.  Specialization also blocks the subgrid into cache-sized
+    front, plus one check per call that the store handed in reaches
+    the walk's {!extent} (node stores are materialized lazily, so the
+    capacity a walk was validated against may exceed the store).
+    Specialization also blocks the subgrid into cache-sized
     tiles (the [tile] parameter, default {!Ccc_cm2.Config.t}[.tile]
     threaded through {!Exec}): a tile is the unit of work the pool's
     shared queue schedules, and within a tile row every tap sweeps a
@@ -93,10 +96,11 @@ val specialize :
   spec
 (** Resolve the kernel against concrete layouts.  [coeff_bases] are
     the stream region bases in plan order ({!nstreams} of them);
-    [words] is the node memory size every resolved walk is validated
-    against.  Raises [Invalid_argument] if any walk could escape
-    [0, words) — after which the unchecked accesses of {!exec_tile}
-    and {!exec_node} are safe.  [tile] is the requested (rows, cols)
+    [words] is the node memory capacity every resolved walk is
+    validated against.  Raises [Invalid_argument] if any walk could
+    escape [0, words); otherwise records the walks' {!extent}, and the
+    unchecked accesses of {!exec_tile} and {!exec_node} are safe on
+    any store at least that long.  [tile] is the requested (rows, cols)
     blocking, clamped into [1, sub_rows] x [1, sub_cols] (so
     degenerate 1x1 tiles and tiles larger than the subgrid are both
     legal); edge tiles absorb any non-dividing remainder, and the
@@ -109,6 +113,12 @@ val tile_count : spec -> int
     {!exec_tile} indices are [0 .. tile_count - 1], in row-major
     order (tile 0 holds the subgrid origin). *)
 
+val extent : spec -> int
+(** One past the highest word any validated walk touches: the store
+    length {!exec_tile} and {!exec_node} require.  Callers running on a
+    lazily materialized {!Ccc_cm2.Memory} {!Ccc_cm2.Memory.reserve} it
+    on every node before the pool phase. *)
+
 val exec_tile : spec -> int -> float array -> unit
 (** Run one tile of the specialized kernel over one node's raw store
     ({!Ccc_cm2.Memory.raw}): per tile row the destination span is
@@ -119,10 +129,13 @@ val exec_tile : spec -> int -> float array -> unit
     order, bias last), so any tile decomposition writes bits identical
     to the checking inner loop.  Tiles touch disjoint destination
     spans, so distinct tiles — of one node or of many — may run on
-    concurrent domains; the loop allocates nothing. *)
+    concurrent domains; the loop allocates nothing.  Raises
+    [Invalid_argument] if the store is shorter than {!extent} or the
+    tile index is out of range. *)
 
 val exec_node : spec -> float array -> unit
 (** All of the node's tiles in order: {!exec_tile} over
     [0 .. tile_count - 1].  The sequential spelling of the same
     walk — bit-identical to running the tiles in any order or on any
-    number of domains. *)
+    number of domains.  Raises [Invalid_argument] if the store is
+    shorter than {!extent}. *)

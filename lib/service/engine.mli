@@ -55,7 +55,9 @@ val error_to_string : error -> string
 type settings = {
   capacity : int;  (** plan-cache entries (default 32) *)
   jobs : int;  (** resident pool size (default 1, fully sequential) *)
-  memory_words : int option;  (** per-node memory ([None] = machine default) *)
+  memory_words : int option;
+      (** per-node memory capacity ([None] = machine default); the
+          host materializes only the words the engine's runs reach *)
   queue_depth : int;
       (** serving: per-tenant admission bound enforced by the PR-7
           scheduler above this engine (default 64) *)

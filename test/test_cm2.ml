@@ -172,6 +172,31 @@ let test_memory_blit_roundtrip () =
   Memory.blit_in m r data;
   Alcotest.(check (array (float 0.0))) "roundtrip" data (Memory.blit_out m r)
 
+let test_memory_lazy_prefix () =
+  (* Capacity is fixed at creation; the host store is only the prefix
+     the allocations reach, doubling as it grows, and a word past it
+     reads as zero. *)
+  let m = Memory.create ~words:1000 in
+  check_int "capacity" 1000 (Memory.words m);
+  check_int "nothing materialized" 0 (Array.length (Memory.raw m));
+  Alcotest.(check (float 0.0)) "unmaterialized reads zero" 0.0
+    (Memory.read m 999);
+  ignore (Memory.alloc m ~words:10);
+  check_int "covers the allocation" 10 (Array.length (Memory.raw m));
+  ignore (Memory.alloc m ~words:1);
+  check_int "grows by doubling" 20 (Array.length (Memory.raw m));
+  Memory.write m 500 2.5;
+  check_int "a write past the prefix grows it" 501
+    (Array.length (Memory.raw m));
+  Memory.reserve m 1000;
+  check_int "reserve up to capacity" 1000 (Array.length (Memory.raw m));
+  Alcotest.(check (float 0.0)) "contents survive growth" 2.5
+    (Memory.read m 500);
+  check_int "words_free counts capacity" 989 (Memory.words_free m);
+  Alcotest.check_raises "reserve past capacity"
+    (Invalid_argument "Memory.reserve: 1001 words outside a 1000-word capacity")
+    (fun () -> Memory.reserve m 1001)
+
 (* ------------------------------------------------------------------ *)
 (* Fpu: the pipeline semantics the whole compiler relies on. *)
 
@@ -424,6 +449,16 @@ let test_machine_node_memories_independent () =
   Alcotest.(check (float 0.0)) "node 1 unaffected" 0.0
     (Memory.read (Machine.memory m 1) r.Memory.base)
 
+let test_machine_fresh_materializes_nothing () =
+  let m = Machine.create Config.default in
+  Machine.iter_nodes m (fun node mem ->
+      check_int (Printf.sprintf "node %d capacity" node) (1 lsl 20)
+        (Memory.words mem);
+      check_int
+        (Printf.sprintf "node %d materialized words" node)
+        0
+        (Array.length (Memory.raw mem)))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cm2"
@@ -456,6 +491,7 @@ let () =
           tc "alloc and rollback" test_memory_alloc_and_rollback;
           tc "exhaustion" test_memory_exhaustion;
           tc "blit roundtrip" test_memory_blit_roundtrip;
+          tc "lazy prefix" test_memory_lazy_prefix;
         ] );
       ( "fpu",
         [
@@ -497,5 +533,7 @@ let () =
         [
           tc "uniform SIMD allocation" test_machine_alloc_all_uniform;
           tc "node memories independent" test_machine_node_memories_independent;
+          tc "fresh machine materializes nothing"
+            test_machine_fresh_materializes_nothing;
         ] );
     ]

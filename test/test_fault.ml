@@ -223,6 +223,74 @@ let test_kernel_poison () =
   check_bit_identical "sound kernel vs on-the-fly lowering" b.Exec.output
     a.Exec.output
 
+(* A corrupted kernel whose walk strays one word past the statement's
+   last allocated region: the bottom-right tap of a 3x3 box, shifted one
+   column east, reads just past the padded temporary that the halo
+   exchange allocates last.  The node stores are materialized on
+   demand, so the stray word must still read the zero a full-capacity
+   store holds: a fresh machine and one reserved to full capacity up
+   front compute the same bits, and neither raises. *)
+let test_corrupt_walk_past_last_region () =
+  let pattern = Pattern.square9 () in
+  let compiled = compile_exn pattern in
+  let env = env_for ~rows:32 ~cols:32 pattern in
+  let victim =
+    Option.get
+      (List.find_index
+         (fun (t : Tap.t) -> t.Tap.offset = Offset.make ~drow:1 ~dcol:1)
+         (Pattern.taps pattern))
+  in
+  let poisoned = Kernel.corrupt ~seed:victim (Kernel.lower pattern) in
+  let memory_words = 1 lsl 16 in
+  let run machine =
+    let stray = ref None in
+    let on_phase (ctx : Exec.phase_ctx) =
+      match (ctx.Exec.phase, ctx.Exec.halo, ctx.Exec.dst) with
+      | "compute", Some h, Some dst ->
+          let sources =
+            [|
+              {
+                Kernel.base = h.Ccc.Halo.padded.Ccc_cm2.Memory.base;
+                pcols = h.Ccc.Halo.padded_cols;
+                pad = h.Ccc.Halo.pad;
+              };
+            |]
+          in
+          let spec =
+            Kernel.specialize poisoned ~sub_rows:dst.Ccc.Dist.sub_rows
+              ~sub_cols:dst.Ccc.Dist.sub_cols ~sources
+              ~coeff_bases:
+                (Array.map
+                   (fun d -> d.Ccc.Dist.region.Ccc_cm2.Memory.base)
+                   ctx.Exec.streams)
+              ~dst_base:dst.Ccc.Dist.region.Ccc_cm2.Memory.base
+              ~words:memory_words ()
+          in
+          let live =
+            memory_words
+            - Ccc_cm2.Memory.words_free (Ccc.Machine.memory machine 0)
+          in
+          stray := Some (Kernel.extent spec - live)
+      | _ -> ()
+    in
+    let r =
+      Exec.run ~inner:Exec.Lowered ~kernel:poisoned
+        ~hooks:{ Exec.no_hooks with on_phase }
+        machine compiled env
+    in
+    Alcotest.(check (option int)) "walk ends one word past the last region"
+      (Some 1) !stray;
+    r.Exec.output
+  in
+  let on_demand = run (Ccc.machine ~memory_words config) in
+  let full = Ccc.machine ~memory_words config in
+  Ccc.Machine.iter_nodes full (fun _ mem ->
+      Ccc_cm2.Memory.reserve mem memory_words);
+  check_bit_identical "on-demand vs full-capacity store" (run full) on_demand;
+  check_classes "corrupted walk output check"
+    [ Finding.Output_integrity ]
+    (Guard.check_output pattern env on_demand)
+
 let test_pool_death () =
   with_run_fixture @@ fun ~pattern:_ ~compiled ~env ~machine ~clean ->
   List.iter
@@ -439,6 +507,8 @@ let () =
             test_phase_skip;
           Alcotest.test_case "kernel-poison caught by sandbox re-proof" `Quick
             test_kernel_poison;
+          Alcotest.test_case "corrupted walk past the last region reads zeros"
+            `Quick test_corrupt_walk_past_last_region;
           Alcotest.test_case "pool-death surfaces and retries clean" `Quick
             test_pool_death;
           Alcotest.test_case "grid checksum discriminates" `Quick

@@ -11,7 +11,9 @@
    - the halo exchange reproduces global circular indexing;
    - register allocation respects the budget and the LCM law;
    - strip mining tiles the axis exactly;
-   - a pattern rendered to Fortran and recognized again is unchanged. *)
+   - a pattern rendered to Fortran and recognized again is unchanged;
+   - the lazily materialized node memory is indistinguishable from a
+     store zero-filled to its full capacity. *)
 
 module Q = QCheck2
 module Gen = QCheck2.Gen
@@ -607,6 +609,190 @@ let prop_fft_pool_bit_identical =
              bit_identical seq (run ~pool ()))
            [ 2; 7 ])
 
+(* ------------------------------------------------------------------ *)
+(* Node memory: the lazily materialized store against an eager model
+   zero-filled to its full capacity up front.  Random operation
+   sequences reach unallocated addresses, addresses past the
+   materialized prefix and out-of-bounds ones; every operation must
+   return the same value, region or exception message on both, and the
+   final words_free and contents must agree word for word. *)
+
+module Memory = Ccc_cm2.Memory
+
+module Eager_memory = struct
+  type t = { store : float array; mutable next_free : int }
+
+  let create ~words = { store = Array.make words 0.0; next_free = 0 }
+
+  let read t addr =
+    if addr < 0 || addr >= Array.length t.store then
+      invalid_arg (Printf.sprintf "Memory.read: address %d out of bounds" addr);
+    t.store.(addr)
+
+  let write t addr v =
+    if addr < 0 || addr >= Array.length t.store then
+      invalid_arg
+        (Printf.sprintf "Memory.write: address %d out of bounds" addr);
+    t.store.(addr) <- v
+
+  let alloc t ~words:n =
+    if n < 0 then invalid_arg "Memory.alloc: negative size";
+    if t.next_free + n > Array.length t.store then
+      failwith
+        (Printf.sprintf
+           "Memory.alloc: out of node memory (%d requested, %d free)" n
+           (Array.length t.store - t.next_free));
+    let region = { Memory.base = t.next_free; words = n } in
+    t.next_free <- t.next_free + n;
+    region
+
+  let free_all_after t (region : Memory.region) =
+    let high = region.base + region.words in
+    if high > t.next_free then invalid_arg "Memory.free_all_after: stale region";
+    t.next_free <- high
+
+  let words_free t = Array.length t.store - t.next_free
+
+  let blit_out t (region : Memory.region) =
+    if region.base < 0 || region.base + region.words > Array.length t.store
+    then invalid_arg "Memory.blit_out: bad region";
+    Array.sub t.store region.base region.words
+
+  let blit_in t (region : Memory.region) data =
+    if Array.length data <> region.words then
+      invalid_arg "Memory.blit_in: size mismatch";
+    Array.blit data 0 t.store region.base region.words
+
+  (* The whole capacity is materialized already: only the bound. *)
+  let reserve t n =
+    if n < 0 || n > Array.length t.store then
+      invalid_arg
+        (Printf.sprintf "Memory.reserve: %d words outside a %d-word capacity"
+           n (Array.length t.store))
+end
+
+type mem_op =
+  | Alloc of int
+  | Free_nth of int  (** roll back to the n-th region allocated so far *)
+  | Free_region of int * int  (** roll back to an arbitrary region *)
+  | Read of int
+  | Write of int * float
+  | Blit_in of int * int * int  (** base, words, data length *)
+  | Blit_out of int * int
+  | Reserve of int
+
+let print_mem_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free_nth i -> Printf.sprintf "free_nth %d" i
+  | Free_region (b, w) -> Printf.sprintf "free_region {%d,%d}" b w
+  | Read a -> Printf.sprintf "read %d" a
+  | Write (a, v) -> Printf.sprintf "write %d %g" a v
+  | Blit_in (b, w, n) -> Printf.sprintf "blit_in {%d,%d} len %d" b w n
+  | Blit_out (b, w) -> Printf.sprintf "blit_out {%d,%d}" b w
+  | Reserve n -> Printf.sprintf "reserve %d" n
+
+let gen_mem_case =
+  let open Gen in
+  int_range 1 48 >>= fun capacity ->
+  let addr = int_range (-2) (capacity + 2) in
+  let size = int_range (-1) ((capacity / 2) + 2) in
+  let value = map (fun i -> float_of_int i /. 4.0) (int_range (-40) 40) in
+  let op =
+    oneof
+      [
+        map (fun n -> Alloc n) size;
+        map (fun i -> Free_nth i) (int_range 0 8);
+        map2 (fun b w -> Free_region (b, w)) addr size;
+        map (fun a -> Read a) addr;
+        map2 (fun a v -> Write (a, v)) addr value;
+        map3
+          (fun b w slack -> Blit_in (b, max 0 w, max 0 w + slack))
+          addr size
+          (frequency [ (5, return 0); (1, return 1) ]);
+        map2 (fun b w -> Blit_out (b, w)) addr size;
+        map (fun n -> Reserve n) (int_range (-1) (capacity + 1));
+      ]
+  in
+  map (fun ops -> (capacity, ops)) (list_size (int_range 1 40) op)
+
+let prop_lazy_memory_matches_eager =
+  Q.Test.make ~name:"lazy store = full-capacity store" ~count:500
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat "; " (List.map print_mem_op ops)))
+    gen_mem_case
+    (fun (capacity, ops) ->
+      let lazy_mem = Memory.create ~words:capacity in
+      let eager = Eager_memory.create ~words:capacity in
+      let regions = ref [] in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+        | exception Failure m -> Error ("Failure " ^ m)
+      in
+      let same what a b =
+        if a <> b then Q.Test.fail_reportf "%s: lazy and eager stores differ" what
+      in
+      let region b w = { Memory.base = b; words = w } in
+      List.iter
+        (fun op ->
+          let name = print_mem_op op in
+          (match op with
+          | Alloc n ->
+              let l = outcome (fun () -> Memory.alloc lazy_mem ~words:n) in
+              same name l (outcome (fun () -> Eager_memory.alloc eager ~words:n));
+              Result.iter (fun r -> regions := !regions @ [ r ]) l
+          | Free_nth i ->
+              let r =
+                match List.nth_opt !regions i with
+                | Some r -> r
+                | None -> region 0 0
+              in
+              same name
+                (outcome (fun () -> Memory.free_all_after lazy_mem r))
+                (outcome (fun () -> Eager_memory.free_all_after eager r))
+          | Free_region (b, w) ->
+              same name
+                (outcome (fun () -> Memory.free_all_after lazy_mem (region b w)))
+                (outcome (fun () -> Eager_memory.free_all_after eager (region b w)))
+          | Read a ->
+              same name
+                (outcome (fun () -> Memory.read lazy_mem a))
+                (outcome (fun () -> Eager_memory.read eager a))
+          | Write (a, v) ->
+              same name
+                (outcome (fun () -> Memory.write lazy_mem a v))
+                (outcome (fun () -> Eager_memory.write eager a v))
+          | Blit_in (b, w, n) ->
+              let data = Array.init n (fun i -> float_of_int (i + 1)) in
+              same name
+                (outcome (fun () -> Memory.blit_in lazy_mem (region b w) data))
+                (outcome (fun () -> Eager_memory.blit_in eager (region b w) data))
+          | Blit_out (b, w) ->
+              same name
+                (outcome (fun () -> Memory.blit_out lazy_mem (region b w)))
+                (outcome (fun () -> Eager_memory.blit_out eager (region b w)))
+          | Reserve n ->
+              same name
+                (outcome (fun () -> Memory.reserve lazy_mem n))
+                (outcome (fun () -> Eager_memory.reserve eager n)));
+          (* The materialized prefix covers every live allocation and
+             never outgrows the capacity. *)
+          let len = Array.length (Memory.raw lazy_mem) in
+          if len < capacity - Memory.words_free lazy_mem || len > capacity then
+            Q.Test.fail_reportf "after %s: %d-word prefix, %d words live" name
+              len
+              (capacity - Memory.words_free lazy_mem))
+        ops;
+      same "words_free" (Memory.words_free lazy_mem)
+        (Eager_memory.words_free eager);
+      same "capacity" capacity (Memory.words lazy_mem);
+      same "contents"
+        (Array.init capacity (Memory.read lazy_mem))
+        eager.Eager_memory.store;
+      true)
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -649,4 +835,5 @@ let () =
         List.map to_alcotest [ prop_fortran_roundtrip ] );
       ( "accounting",
         List.map to_alcotest [ prop_useful_flops_formula ] );
+      ("memory", List.map to_alcotest [ prop_lazy_memory_matches_eager ]);
     ]

@@ -12,6 +12,7 @@ module Stripmine = Ccc_runtime.Stripmine
 module Reference = Ccc_runtime.Reference
 module Stats = Ccc_runtime.Stats
 module Exec = Ccc_runtime.Exec
+module Kernel = Ccc_runtime.Kernel
 module Pattern = Ccc_stencil.Pattern
 module Boundary = Ccc_stencil.Boundary
 module Plan = Ccc_microcode.Plan
@@ -380,6 +381,59 @@ let test_exec_releases_memory () =
   check_int "all temporaries released" free_before
     (Memory.words_free (Machine.memory m 0))
 
+(* Node stores are materialized lazily: a fresh machine of the default
+   1 Mi-word capacity ends a 32x32 statement holding just the words the
+   statement allocated, rounded up by at most the doubling growth. *)
+let test_exec_materializes_high_water () =
+  List.iter
+    (fun (name, pattern) ->
+      let compiled = Tutil.compile_exn pattern in
+      let m = Machine.create config in
+      let capacity = Memory.words (Machine.memory m 0) in
+      let high_water = ref 0 in
+      let on_phase (ctx : Exec.phase_ctx) =
+        if ctx.Exec.phase = "compute" then
+          high_water := capacity - Memory.words_free (Machine.memory m 0)
+      in
+      ignore
+        (Exec.run ~hooks:{ Exec.no_hooks with on_phase } m compiled
+           (Tutil.env_for ~rows:32 ~cols:32 pattern));
+      check_bool (name ^ ": temporaries allocated") true (!high_water > 0);
+      Machine.iter_nodes m (fun node mem ->
+          let len = Array.length (Memory.raw mem) in
+          if len < !high_water || len > 2 * !high_water then
+            Alcotest.failf
+              "%s: node %d materialized %d words for a %d-word high-water mark"
+              name node len !high_water))
+    (Pattern.gallery ())
+
+(* The unchecked kernel walk refuses a store shorter than the extent
+   [specialize] validated: a 4x4 cross5 over a 6x6 padded temporary at
+   0, five coefficient streams at 36.. and the destination at 116 reach
+   word 131. *)
+let test_kernel_extent_guards_the_store () =
+  let kernel = Kernel.lower (Pattern.cross5 ()) in
+  let spec =
+    Kernel.specialize kernel ~sub_rows:4 ~sub_cols:4
+      ~sources:[| { Kernel.base = 0; pcols = 6; pad = 1 } |]
+      ~coeff_bases:[| 36; 52; 68; 84; 100 |]
+      ~dst_base:116 ~words:(1 lsl 20) ()
+  in
+  check_int "extent" 132 (Kernel.extent spec);
+  let short = Array.make 131 0.0 in
+  Alcotest.check_raises "exec_node on a short store"
+    (Invalid_argument
+       "Kernel.exec_node: 131-word store is shorter than the 132-word walk \
+        extent") (fun () -> Kernel.exec_node spec short);
+  Alcotest.check_raises "exec_tile on a short store"
+    (Invalid_argument
+       "Kernel.exec_tile: 131-word store is shorter than the 132-word walk \
+        extent") (fun () -> Kernel.exec_tile spec 0 short);
+  Alcotest.check_raises "exec_tile past the last tile"
+    (Invalid_argument "Kernel.exec_tile: tile out of range") (fun () ->
+      Kernel.exec_tile spec (Kernel.tile_count spec) (Array.make 132 0.0));
+  Kernel.exec_node spec (Array.make 132 0.0)
+
 let eoshift_cross () =
   Ccc_stencil.Pattern.create ~boundary:(Boundary.End_off 0.5)
     [
@@ -498,5 +552,9 @@ let () =
           tc "run_padded rejects circular patterns"
             test_run_padded_rejects_circular;
           tc "estimate matches run" test_estimate_matches_run;
+          tc "stores materialize the high-water mark"
+            test_exec_materializes_high_water;
+          tc "kernel extent guards the store"
+            test_kernel_extent_guards_the_store;
         ] );
     ]
