@@ -58,6 +58,8 @@ let alloc t ~words:n =
   region
 
 let free_all_after t region =
+  if region.base < 0 || region.words < 0 then
+    invalid_arg "Memory.free_all_after: negative region";
   let high = region.base + region.words in
   if high > t.next_free then invalid_arg "Memory.free_all_after: stale region";
   t.next_free <- high

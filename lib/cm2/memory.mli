@@ -66,7 +66,10 @@ val free_all_after : t -> region -> unit
 (** Roll the bump allocator back so that [region] is the last live
     allocation; models the run-time library releasing halo temporaries
     after a stencil call.  The materialized prefix keeps its length and
-    contents, so the next statement reuses it. *)
+    contents, so the next statement reuses it.  Raises
+    [Invalid_argument], leaving the allocator as it was, when the
+    region's base or size is negative or it ends past the live
+    allocations. *)
 
 val words_free : t -> int
 (** Capacity not yet allocated. *)

@@ -394,29 +394,15 @@ let execute ?pool p ~padded =
   Grid.init ~rows:p.rows ~cols:p.cols (fun r c ->
       bre.(((r + p.pad) * pcols) + c + p.pad) +. bias)
 
-(* The global padded source with boundary semantics applied to the
-   frame — the host-side equivalent of what Halo.exchange assembles
-   per node. *)
-let padded_source pattern env =
-  let source = Reference.lookup env (Pattern.source_var pattern) in
-  let pad = Pattern.max_border pattern in
-  let read =
-    match Pattern.boundary pattern with
-    | Boundary.Circular -> Grid.get_circular source
-    | Boundary.End_off fill -> Grid.get_endoff source ~fill
-  in
-  Grid.init
-    ~rows:(Grid.rows source + (2 * pad))
-    ~cols:(Grid.cols source + (2 * pad))
-    (fun r c -> read (r - pad) (c - pad))
-
 let convolve ?pool pattern env =
   Reference.check_env pattern env;
   let source = Reference.lookup env (Pattern.source_var pattern) in
   let p =
     plan pattern ~rows:(Grid.rows source) ~cols:(Grid.cols source) env
   in
-  execute ?pool p ~padded:(padded_source pattern env)
+  execute ?pool p
+    ~padded:
+      (Reference.padded_source pattern env ~pad_rows:p.pad ~pad_cols:p.pad)
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -447,7 +433,11 @@ let sandbox_env pattern p =
 let verify pattern p =
   let env = sandbox_env pattern p in
   let expected = Reference.apply pattern env in
-  let got = execute p ~padded:(padded_source pattern env) in
+  let got =
+    execute p
+      ~padded:
+        (Reference.padded_source pattern env ~pad_rows:p.pad ~pad_cols:p.pad)
+  in
   let diff = Grid.max_abs_diff expected got in
   if diff > 1e-9 then
     raise

@@ -273,20 +273,15 @@ let verify (config : Config.t) (compiled : Compile.t) t =
   let coeffs =
     Array.map (fun _ -> Memory.alloc mem ~words:(sub_rows * sub_cols)) streams
   in
-  let src_grid = Reference.lookup env (Pattern.source_var pattern) in
-  let read =
-    match Pattern.boundary pattern with
-    | Boundary.Circular -> Grid.get_circular src_grid
-    | Boundary.End_off fill -> Grid.get_endoff src_grid ~fill
-  in
-  let needs_corners = Pattern.needs_corners pattern in
-  for r = -pad to sub_rows + pad - 1 do
-    for c = -pad to sub_cols + pad - 1 do
-      let in_corner = (r < 0 || r >= sub_rows) && (c < 0 || c >= sub_cols) in
-      let v = if in_corner && not needs_corners then Float.nan else read r c in
-      Memory.write mem (padded.Memory.base + ((r + pad) * pcols) + (c + pad)) v
-    done
-  done;
+  let frame = Reference.padded_source pattern env ~pad_rows:pad ~pad_cols:pad in
+  if not (Pattern.needs_corners pattern) then
+    for r = -pad to sub_rows + pad - 1 do
+      for c = -pad to sub_cols + pad - 1 do
+        if (r < 0 || r >= sub_rows) && (c < 0 || c >= sub_cols) then
+          Grid.set frame (r + pad) (c + pad) Float.nan
+      done
+    done;
+  Memory.blit_in mem padded (Grid.raw frame);
   Array.iteri
     (fun i coeff ->
       for r = 0 to sub_rows - 1 do

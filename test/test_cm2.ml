@@ -158,6 +158,21 @@ let test_memory_alloc_and_rollback () =
   let c = Memory.alloc m ~words:10 in
   check_int "c reuses b's space" 40 c.Memory.base
 
+(* The shrunk counterexample of the memory property: rolling back to a
+   region that ends below zero used to move the watermark negative, so
+   the next allocation got a negative base. *)
+let test_memory_rejects_negative_region () =
+  let m = Memory.create ~words:8 in
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Memory.free_all_after: negative region") (fun () ->
+      Memory.free_all_after m { Memory.base = 0; words = -1 });
+  Alcotest.check_raises "negative base"
+    (Invalid_argument "Memory.free_all_after: negative region") (fun () ->
+      Memory.free_all_after m { Memory.base = -2; words = 2 });
+  check_int "watermark unmoved" 8 (Memory.words_free m);
+  check_int "next allocation starts at 0" 0
+    (Memory.alloc m ~words:0).Memory.base
+
 let test_memory_exhaustion () =
   let m = Memory.create ~words:16 in
   ignore (Memory.alloc m ~words:10);
@@ -489,6 +504,7 @@ let () =
           tc "read/write" test_memory_read_write;
           tc "bounds" test_memory_bounds;
           tc "alloc and rollback" test_memory_alloc_and_rollback;
+          tc "negative region rejected" test_memory_rejects_negative_region;
           tc "exhaustion" test_memory_exhaustion;
           tc "blit roundtrip" test_memory_blit_roundtrip;
           tc "lazy prefix" test_memory_lazy_prefix;

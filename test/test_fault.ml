@@ -6,6 +6,8 @@
      must neither mask nor displace a failing node);
    - every Inject fault class is caught by the matching Guard check,
      and a disarmed retry reproduces the clean result bit for bit;
+   - the strip-comparing halo guard returns exactly the findings of the
+     per-cell derivation kept here as its oracle;
    - Engine.run_guarded climbs the ladder: clean -> Completed, a
      one-shot fault -> retry -> Completed, a persistent fault ->
      recompile -> Degraded on the host reference path, with the
@@ -482,6 +484,247 @@ let test_kill_dumps_name_faults () =
   Alcotest.(check int) "all fault classes across both paths dumped" expected
     (Hashtbl.length seen)
 
+(* --- the halo guard against its per-cell derivation ------------------ *)
+
+module Memory = Ccc_cm2.Memory
+
+(* Every padded cell re-derived one at a time with Halo.exchange_into's
+   per-cell owner arithmetic: the form Guard.check_halo had before it
+   compared strips, kept as the oracle whose findings — cells, order
+   and messages — the strip compare must reproduce. *)
+let oracle_check_halo ~(source : Ccc.Dist.t) ~(halo : Ccc.Halo.exchange)
+    ~boundary ~needs_corners =
+  let { Ccc.Dist.machine; sub_rows; sub_cols; _ } = source in
+  let pad = halo.Ccc.Halo.pad in
+  let pcols = halo.Ccc.Halo.padded_cols in
+  let geometry = Ccc.Machine.geometry machine in
+  let grows = Ccc.Dist.global_rows source
+  and gcols = Ccc.Dist.global_cols source in
+  let fill_value =
+    match boundary with
+    | Ccc.Boundary.Circular -> None
+    | Ccc.Boundary.End_off fill -> Some fill
+  in
+  let wrap v n = ((v mod n) + n) mod n in
+  let findings = ref [] in
+  for node = Ccc.Machine.node_count machine - 1 downto 0 do
+    let mem = Ccc.Machine.memory machine node in
+    let node_row, node_col = Ccc.Geometry.coord_of_node geometry node in
+    let base_grow = node_row * sub_rows and base_gcol = node_col * sub_cols in
+    for r = sub_rows + pad - 1 downto -pad do
+      for c = sub_cols + pad - 1 downto -pad do
+        let in_corner =
+          (r < 0 || r >= sub_rows) && (c < 0 || c >= sub_cols)
+        in
+        let expected =
+          if in_corner && not needs_corners then Float.nan
+          else begin
+            let grow = base_grow + r and gcol = base_gcol + c in
+            let outside =
+              grow < 0 || grow >= grows || gcol < 0 || gcol >= gcols
+            in
+            match fill_value with
+            | Some fill when outside -> fill
+            | Some _ | None ->
+                let node', row', col' =
+                  Ccc.Dist.owner source ~grow:(wrap grow grows)
+                    ~gcol:(wrap gcol gcols)
+                in
+                Ccc.Dist.local_get source ~node:node' ~row:row' ~col:col'
+          end
+        in
+        let got =
+          Memory.read mem
+            (halo.Ccc.Halo.padded.Memory.base + ((r + pad) * pcols) + (c + pad))
+        in
+        if Float.compare expected got <> 0 then
+          findings :=
+            Finding.makef Finding.Halo_integrity
+              "halo: node %d padded cell (%d,%d) holds %.17g, exchange wrote \
+               %.17g"
+              node r c got expected
+            :: !findings
+      done
+    done
+  done;
+  !findings
+
+(* Both checks over one exchange: the strip compare's findings, after
+   requiring them equal to the oracle's, one by one and in order. *)
+let same_halo_findings what ~source ~halo ~boundary ~needs_corners =
+  let strips = Guard.check_halo ~source ~halo ~boundary ~needs_corners in
+  let oracle = oracle_check_halo ~source ~halo ~boundary ~needs_corners in
+  let render = List.map Finding.to_string in
+  Alcotest.(check (list string)) what (render oracle) (render strips);
+  strips
+
+let boundaries = [ Ccc.Boundary.Circular; Ccc.Boundary.End_off 0.5 ]
+
+let with_boundary boundary p =
+  Pattern.create ?bias:(Pattern.bias p) ~boundary (Pattern.taps p)
+
+let with_pools f =
+  let pools = List.map (fun jobs -> (jobs, Pool.create ~jobs)) [ 1; 2; 7 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, p) -> Pool.shutdown p) pools)
+    (fun () -> f pools)
+
+(* An after-the-exchange hook that corrupts, then compares both checks
+   over the corrupted padded temporaries. *)
+let comparing ?(corrupt = fun _ -> ()) what ~boundary ~needs_corners found =
+  {
+    Exec.on_phase =
+      (fun ctx ->
+        match (ctx.Exec.phase, ctx.Exec.source, ctx.Exec.halo) with
+        | "halo", Some source, Some halo ->
+            corrupt (source, halo);
+            found :=
+              Some
+                (same_halo_findings what ~source ~halo ~boundary
+                   ~needs_corners)
+        | _ -> ());
+    on_compute_node = (fun _ -> ());
+  }
+
+(* Each halo fault class on every gallery stencil, under both
+   boundaries and at jobs 1, 2 and 7: identical findings from both
+   checks, at least one unless the injector found nothing to corrupt,
+   and the same findings at every jobs value. *)
+let test_halo_strips_match_oracle () =
+  with_pools @@ fun pools ->
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun boundary ->
+          let pattern = with_boundary boundary p in
+          let compiled = compile_exn pattern in
+          let env = env_for ~rows:24 ~cols:24 pattern in
+          let needs_corners = Pattern.needs_corners pattern in
+          List.iter
+            (fun fault ->
+              let per_jobs =
+                List.map
+                  (fun (jobs, pool) ->
+                    let what =
+                      Printf.sprintf "%s %s %s jobs=%d" name
+                        (Format.asprintf "%a" Ccc.Boundary.pp boundary)
+                        (Inject.name fault) jobs
+                    in
+                    let inj = Inject.arm ~seed:5 ~nodes fault in
+                    let found = ref None in
+                    let hooks =
+                      Exec.compose_hooks (Inject.hooks inj)
+                        (comparing what ~boundary ~needs_corners found)
+                    in
+                    ignore
+                      (Exec.run ~pool ~hooks (Ccc.machine config) compiled env);
+                    let fs = Option.get !found in
+                    (match Inject.fired inj with
+                    | Some m when contains "vacuous" m -> ()
+                    | Some _ when fs <> [] -> ()
+                    | Some m -> Alcotest.failf "%s: no finding for %s" what m
+                    | None -> Alcotest.failf "%s: the fault never fired" what);
+                    List.map Finding.to_string fs)
+                  pools
+              in
+              List.iter
+                (fun fs ->
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s %s: same findings at every jobs" name
+                       (Inject.name fault))
+                    (List.hd per_jobs) fs)
+                per_jobs)
+            [ Inject.Bit_flip; Inject.Halo_drop; Inject.Halo_duplicate ])
+        boundaries)
+    (Pattern.gallery ())
+
+(* Many corrupted cells at once — frame, body and corners of several
+   nodes, including a -0.0 written over +0.0 (equal under
+   Float.compare, so no finding) and NaN over a number — so the
+   findings' order is compared, not just a single one. *)
+let test_halo_strips_order () =
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun boundary ->
+          let pattern = with_boundary boundary p in
+          let compiled = compile_exn pattern in
+          let env = env_for ~rows:24 ~cols:24 pattern in
+          let needs_corners = Pattern.needs_corners pattern in
+          let corrupt ((source : Ccc.Dist.t), (halo : Ccc.Halo.exchange)) =
+            let pad = halo.Ccc.Halo.pad and pcols = halo.Ccc.Halo.padded_cols in
+            let prows = source.Ccc.Dist.sub_rows + (2 * pad) in
+            for node = 0 to nodes - 1 do
+              let mem = Ccc.Machine.memory source.Ccc.Dist.machine node in
+              for i = 0 to (prows * pcols) - 1 do
+                if (i + node) mod 7 = 0 then begin
+                  let addr = halo.Ccc.Halo.padded.Memory.base + i in
+                  let v = Memory.read mem addr in
+                  Memory.write mem addr
+                    (match (i / 7) mod 3 with
+                    | 0 -> v +. 1.0
+                    | 1 -> Float.nan
+                    | _ -> if v = 0.0 then -0.0 else -.v)
+                end
+              done
+            done
+          in
+          let found = ref None in
+          let what = name ^ " scattered corruption" in
+          ignore
+            (Exec.run
+               ~hooks:(comparing ~corrupt what ~boundary ~needs_corners found)
+               (Ccc.machine config) compiled env);
+          if Option.get !found = [] then Alcotest.failf "%s: no findings" what)
+        boundaries)
+    (Pattern.gallery ())
+
+(* Clean exchanges raise nothing: every gallery border under both
+   boundaries, with and without the corner step (skipped corners hold
+   NaN poison), over jobs 1, 2 and 7, and pads from zero up to the full
+   subgrid side. *)
+let test_halo_strips_clean () =
+  with_pools @@ fun pools ->
+  let cases =
+    List.map
+      (fun (name, p) -> (name, 6, 6, Pattern.max_border p))
+      (Pattern.gallery ())
+    @ [ ("pad 0", 3, 5, 0); ("pad = side", 2, 2, 2); ("pad = rows", 3, 5, 3) ]
+  in
+  List.iter
+    (fun (name, sub_rows, sub_cols, pad) ->
+      List.iter
+        (fun boundary ->
+          List.iter
+            (fun needs_corners ->
+              List.iter
+                (fun (jobs, pool) ->
+                  let machine = Ccc.machine config in
+                  let g =
+                    mixed_grid ~seed:9 ~rows:(4 * sub_rows) ~cols:(4 * sub_cols)
+                  in
+                  let source = Ccc.Dist.scatter machine g in
+                  let halo =
+                    Ccc.Halo.exchange ~pool ~source ~pad ~boundary
+                      ~needs_corners ()
+                  in
+                  let what =
+                    Printf.sprintf "%s %dx%d pad %d corners %b jobs=%d" name
+                      sub_rows sub_cols pad needs_corners jobs
+                  in
+                  match
+                    same_halo_findings what ~source ~halo ~boundary
+                      ~needs_corners
+                  with
+                  | [] -> ()
+                  | f :: _ ->
+                      Alcotest.failf "%s: clean exchange flagged: %s" what
+                        (Finding.to_string f))
+                pools)
+            [ true; false ])
+        boundaries)
+    cases
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -513,6 +756,15 @@ let () =
             test_pool_death;
           Alcotest.test_case "grid checksum discriminates" `Quick
             test_grid_checksum;
+        ] );
+      ( "guard",
+        [
+          Alcotest.test_case "halo strips = per-cell oracle under each fault"
+            `Quick test_halo_strips_match_oracle;
+          Alcotest.test_case "halo strips = per-cell oracle, finding order"
+            `Quick test_halo_strips_order;
+          Alcotest.test_case "halo strips silent on clean exchanges" `Quick
+            test_halo_strips_clean;
         ] );
       ( "engine",
         [

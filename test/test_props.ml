@@ -6,6 +6,8 @@
 
    - compiled execution (both modes) agrees with the reference
      evaluator for arbitrary patterns, shapes and boundary semantics;
+   - the reference evaluator reproduces, bit for bit, the per-point
+     fold that defines it;
    - the analytic cycle model agrees with the cycle-accurate
      interpreter (asserted inside Exec.run's simulate path);
    - the halo exchange reproduces global circular indexing;
@@ -610,6 +612,126 @@ let prop_fft_pool_bit_identical =
            [ 2; 7 ])
 
 (* ------------------------------------------------------------------ *)
+(* The reference evaluator against its definition, [Tutil.spec_apply]:
+   every cell bit for bit (NaN payloads and signed zeros included), or
+   the same exception when a binding is missing or mis-shaped.  Cases
+   span both boundaries (EOSHIFT with a nonzero fill), array, literal
+   and implicit-1.0 coefficients and biases, NaN and infinite cells,
+   1xN, Nx1 and 1x1 grids, and borders as wide as the grid side or
+   wider. *)
+
+let gen_reference_case =
+  let open Gen in
+  let side = frequency [ (1, return 1); (4, int_range 1 12) ] in
+  let finite = map (fun i -> float_of_int i /. 8.0) (int_range (-64) 64) in
+  let nonfinite =
+    oneofl
+      [
+        Float.nan;
+        Int64.float_of_bits 0xFFF8_0000_0000_0A5FL;
+        Float.infinity;
+        Float.neg_infinity;
+        -0.0;
+      ]
+  in
+  side >>= fun rows ->
+  side >>= fun cols ->
+  int_range 0 4 >>= fun odds ->
+  let cell =
+    if odds = 0 then finite else frequency [ (40, finite); (odds, nonfinite) ]
+  in
+  let far = (2 * max rows cols) + 3 in
+  oneof [ int_range 0 3; return (max rows cols); int_range 0 far ]
+  >>= fun reach ->
+  let delta = int_range (-reach) reach in
+  list_size (int_range 1 25) (pair delta delta) >>= fun offsets ->
+  let offsets = List.sort_uniq compare offsets in
+  oneof
+    [
+      return Boundary.Circular;
+      map (fun f -> Boundary.End_off f)
+        (oneof
+           [ map (fun i -> float_of_int i /. 4.0) (int_range 1 8); nonfinite ]);
+    ]
+  >>= fun boundary ->
+  let coeff name =
+    oneof
+      [
+        return (Coeff.Array name);
+        map (fun v -> Coeff.Scalar v) cell;
+        return Coeff.One;
+      ]
+  in
+  flatten_l
+    (List.mapi (fun i _ -> coeff (Printf.sprintf "C%d" (i + 1))) offsets)
+  >>= fun coeffs ->
+  opt (coeff "BB") >>= fun bias ->
+  let pattern =
+    Pattern.create ?bias ~boundary
+      (List.map2
+         (fun (drow, dcol) coeff -> Tap.make (Offset.make ~drow ~dcol) coeff)
+         offsets coeffs)
+  in
+  let names =
+    List.sort_uniq compare (Ccc.Reference.referenced_arrays pattern)
+  in
+  flatten_l
+    (List.map
+       (fun name ->
+         map
+           (fun cells ->
+             (name, Grid.of_flat_array ~rows ~cols (Array.of_list cells)))
+           (list_repeat (rows * cols) cell))
+       names)
+  >>= fun env ->
+  (* Now and then one binding goes missing or takes another shape. *)
+  let victim = int_range 0 (List.length env - 1) in
+  frequency
+    [
+      (10, return env);
+      (1, map (fun i -> List.filteri (fun j _ -> j <> i) env) victim);
+      ( 1,
+        map
+          (fun i ->
+            List.mapi
+              (fun j (name, g) ->
+                (name, if j = i then Grid.create ~rows:(rows + 1) ~cols else g))
+              env)
+          victim );
+    ]
+  >>= fun env -> return (rows, cols, pattern, env)
+
+let prop_reference_matches_spec =
+  Q.Test.make ~name:"resolved loop = per-point fold, bit for bit" ~count:500
+    ~print:(fun (rows, cols, p, env) ->
+      Printf.sprintf "%dx%d %s, bound %s" rows cols (print_pattern p)
+        (String.concat " " (List.map fst env)))
+    gen_reference_case
+    (fun (_, _, p, env) ->
+      let outcome f =
+        match f () with
+        | g -> Ok g
+        | exception Ccc.Reference.Unbound name -> Error ("Unbound " ^ name)
+        | exception Ccc.Reference.Shape_mismatch m ->
+            Error ("Shape_mismatch " ^ m)
+      in
+      match
+        (outcome (fun () -> Ccc.Reference.apply p env),
+         outcome (fun () -> Tutil.spec_apply p env))
+      with
+      | Ok got, Ok want -> (
+          match Tutil.bit_differences got want with
+          | [] -> true
+          | (r, c) :: _ as diffs ->
+              let bits g = Int64.bits_of_float (Grid.get g r c) in
+              Q.Test.fail_reportf
+                "%d cells differ; (%d,%d) holds %016Lx, spec %016Lx"
+                (List.length diffs) r c (bits got) (bits want))
+      | Error a, Error b when a = b -> true
+      | Error e, _ | _, Error e ->
+          Q.Test.fail_reportf "outcomes differ: %s" e)
+
+(* ------------------------------------------------------------------ *)
 (* Node memory: the lazily materialized store against an eager model
    zero-filled to its full capacity up front.  Random operation
    sequences reach unallocated addresses, addresses past the
@@ -647,6 +769,8 @@ module Eager_memory = struct
     region
 
   let free_all_after t (region : Memory.region) =
+    if region.base < 0 || region.words < 0 then
+      invalid_arg "Memory.free_all_after: negative region";
     let high = region.base + region.words in
     if high > t.next_free then invalid_arg "Memory.free_all_after: stale region";
     t.next_free <- high
@@ -835,5 +959,6 @@ let () =
         List.map to_alcotest [ prop_fortran_roundtrip ] );
       ( "accounting",
         List.map to_alcotest [ prop_useful_flops_formula ] );
+      ("reference", List.map to_alcotest [ prop_reference_matches_spec ]);
       ("memory", List.map to_alcotest [ prop_lazy_memory_matches_eager ]);
     ]

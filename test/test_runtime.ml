@@ -306,6 +306,38 @@ let test_reference_shape_mismatch () =
   | _ -> Alcotest.fail "expected Shape_mismatch"
   | exception Reference.Shape_mismatch _ -> ()
 
+(* A CSHIFT tap 200 rows away on a 4x4 grid reads what a tap at (0, 0)
+   reads; the oracle reduces the offset modulo the side instead of
+   padding the source by 200 rows, so what it allocates is bounded by
+   the grid, not by the pattern's border. *)
+let test_reference_far_offset () =
+  let p =
+    Ccc_stencil.Pattern.create
+      [
+        Ccc_stencil.Tap.make
+          (Ccc_stencil.Offset.make ~drow:200 ~dcol:0)
+          (Ccc_stencil.Coeff.Array "C1");
+      ]
+  in
+  let env =
+    [
+      ("X", Tutil.mixed_grid ~seed:3 ~rows:4 ~cols:4);
+      ("C1", Tutil.mixed_grid ~seed:4 ~rows:4 ~cols:4);
+    ]
+  in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    let v = f () in
+    (v, Gc.allocated_bytes () -. before)
+  in
+  let _, grid = allocated (fun () -> Grid.create ~rows:4 ~cols:4) in
+  let got, call = allocated (fun () -> Reference.apply p env) in
+  check_int "cells differing from the spec" 0
+    (List.length (Tutil.bit_differences (Tutil.spec_apply p env) got));
+  if call > 8.0 *. grid then
+    Alcotest.failf "Reference.apply allocated %.0f, one 4x4 grid %.0f" call
+      grid
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -532,6 +564,7 @@ let () =
           tc "end-off boundary" test_reference_endoff;
           tc "unbound array" test_reference_unbound;
           tc "shape mismatch" test_reference_shape_mismatch;
+          tc "far CSHIFT offset stays grid-sized" test_reference_far_offset;
         ] );
       ( "stats",
         [

@@ -56,3 +56,49 @@ let run_both_modes ?(config = Ccc.Config.default) compiled env =
   in
   let fast = Ccc.apply ~mode:Ccc.Exec.Fast config compiled env in
   (simulated, fast)
+
+(* The per-point fold that defines a stencil statement: what
+   [Reference.apply] computed before it became a resolved tap-major
+   loop, kept as its specification.  Each point starts from +0.0, adds
+   [coeff *. x] in [Pattern.taps] order through CSHIFT/EOSHIFT
+   indexing, and adds the bias last. *)
+let spec_apply pattern env =
+  let module R = Ccc.Reference in
+  R.check_env pattern env;
+  let source = R.lookup env (Ccc.Pattern.source_var pattern) in
+  let read =
+    match Ccc.Pattern.boundary pattern with
+    | Ccc.Boundary.Circular -> Ccc.Grid.get_circular source
+    | Ccc.Boundary.End_off fill -> Ccc.Grid.get_endoff source ~fill
+  in
+  let taps = Ccc.Pattern.taps pattern in
+  Ccc.Grid.init ~rows:(Ccc.Grid.rows source) ~cols:(Ccc.Grid.cols source)
+    (fun r c ->
+      let sum =
+        List.fold_left
+          (fun acc tap ->
+            let { Ccc.Offset.drow; dcol } = tap.Ccc.Tap.offset in
+            acc
+            +. (R.coeff_value env tap.Ccc.Tap.coeff r c
+               *. read (r + drow) (c + dcol)))
+          0.0 taps
+      in
+      match Ccc.Pattern.bias pattern with
+      | Some coeff -> sum +. R.coeff_value env coeff r c
+      | None -> sum)
+
+(* Cells whose float bits differ, as (row, col) — NaN payloads and the
+   sign of zero included. *)
+let bit_differences a b =
+  let diffs = ref [] in
+  for r = Ccc.Grid.rows a - 1 downto 0 do
+    for c = Ccc.Grid.cols a - 1 downto 0 do
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float (Ccc.Grid.get a r c))
+             (Int64.bits_of_float (Ccc.Grid.get b r c)))
+      then diffs := (r, c) :: !diffs
+    done
+  done;
+  !diffs
