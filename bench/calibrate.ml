@@ -31,7 +31,7 @@ let row_mflops config (row : Paper_data.row) =
   let stats =
     Exec.estimate ~iterations:row.Paper_data.iterations
       ~sub_rows:row.Paper_data.sub_rows ~sub_cols:row.Paper_data.sub_cols
-      config compiled
+      config [ Exec.compiled compiled ]
   in
   Stats.mflops stats
 

@@ -28,7 +28,7 @@ let compile_gallery config names =
     (fun name ->
       match Ccc.compile_pattern config (List.assoc name (Pattern.gallery ())) with
       | Ok compiled -> (name, compiled)
-      | Error e -> failwith (name ^ ": " ^ Ccc.error_to_string e))
+      | Error e -> failwith (name ^ ": " ^ Ccc.Outcome.reject_to_string e))
     names
 
 (* ------------------------------------------------------------------ *)
@@ -55,7 +55,7 @@ let table1 () =
         Exec.estimate ~iterations:row.Paper_data.iterations
           ~sub_rows:row.Paper_data.sub_rows ~sub_cols:row.Paper_data.sub_cols
           config
-          (List.assoc row.Paper_data.pattern compiled)
+          [ Exec.compiled (List.assoc row.Paper_data.pattern compiled) ]
       in
       Printf.printf
         "%-11s %4dx%-4d %6d | %9.2f %8.1f %8.2f | %9.2f %8.1f %8.2f%s\n"
@@ -136,11 +136,11 @@ let gordon_bell () =
   (match
      Ccc.compile_fortran_statement_multi (gb_config ()) fused_statement
    with
-  | Error e -> print_endline (Ccc.error_to_string e)
+  | Error e -> print_endline (Ccc.Outcome.reject_to_string e)
   | Ok fused ->
       let fused_stats =
-        Exec.estimate_fused ~sub_rows:64 ~sub_cols:128 ~iterations:38001
-          (gb_config ()) fused
+        Exec.estimate ~sub_rows:64 ~sub_cols:128 ~iterations:38001
+          (gb_config ()) [ Exec.fused fused ]
       in
       let unfused =
         Ccc.Seismic.estimate ~version:Ccc.Seismic.Unrolled3 ~sub_rows:64
@@ -189,7 +189,7 @@ let figures () =
     "SECTION 5.4 -- ring buffers and unrolling (diamond13, width 4)\n\
      LCM of the ring sizes gives the register-access unroll factor";
   (match Ccc.compile_pattern Config.default (Pattern.diamond13 ()) with
-  | Error e -> print_endline (Ccc.error_to_string e)
+  | Error e -> print_endline (Ccc.Outcome.reject_to_string e)
   | Ok compiled ->
       let plan = Ccc.Compile.widest compiled in
       List.iter
@@ -239,11 +239,11 @@ let ablation () =
         (fun (r, cl) ->
           let modern =
             Exec.estimate ~primitive:Ccc.Halo.Node_level ~sub_rows:r
-              ~sub_cols:cl Config.default c
+              ~sub_cols:cl Config.default [ Exec.compiled c ]
           in
           let legacy =
             Exec.estimate ~primitive:Ccc.Halo.Legacy ~sub_rows:r ~sub_cols:cl
-              Config.default c
+              Config.default [ Exec.compiled c ]
           in
           Printf.printf "%-11s %4dx%-4d | %8.1f MF  %8.1f MF | %7.2fx\n" name r
             cl (mflops_of modern) (mflops_of legacy)
@@ -338,11 +338,14 @@ let ablation () =
   Printf.printf "%-9s | %10s %10s | %8s\n" "subgrid" "21 Nov" "7 Dec" "gain";
   List.iter
     (fun (r, cl) ->
-      let nov = Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default compiled in
+      let nov =
+        Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default
+          [ Exec.compiled compiled ]
+      in
       let dec =
         Exec.estimate ~sub_rows:r ~sub_cols:cl
           (Config.tuned_runtime Config.default)
-          compiled
+          [ Exec.compiled compiled ]
       in
       Printf.printf "%4dx%-4d | %7.1f MF %7.1f MF | %+7.1f%%\n" r cl
         (mflops_of nov) (mflops_of dec)
@@ -372,10 +375,12 @@ let ablation () =
       List.iter
         (fun (r, cl) ->
           let wide =
-            Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default full
+            Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default
+              [ Exec.compiled full ]
           in
           let thin =
-            Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default narrow
+            Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default
+              [ Exec.compiled narrow ]
           in
           Printf.printf "%-11s %4dx%-4d | %7.1f MF %7.1f MF | %+7.1f%%\n" name r
             cl (mflops_of wide) (mflops_of thin)
@@ -400,7 +405,7 @@ let baselines () =
       let compiled =
         match Ccc.compile_pattern Config.default p with
         | Ok c -> c
-        | Error e -> failwith (Ccc.error_to_string e)
+        | Error e -> failwith (Ccc.Outcome.reject_to_string e)
       in
       List.iter
         (fun (r, cl) ->
@@ -423,7 +428,8 @@ let baselines () =
                 Printf.sprintf "%6.1f MF(f)" (mflops_of s)
           in
           let ours =
-            Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default compiled
+            Exec.estimate ~sub_rows:r ~sub_cols:cl Config.default
+              [ Exec.compiled compiled ]
           in
           Printf.printf "%-11s %4dx%-4d | %9.1f MF %9.1f MF %12s %9.1f MF\n"
             name r cl (mflops_of fieldwise) (mflops_of naive) canned
@@ -438,13 +444,15 @@ let baselines () =
   let compiled =
     match Ccc.compile_pattern full p with
     | Ok c -> c
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   let naive = Ccc_baseline.Naive.estimate ~sub_rows:128 ~sub_cols:256 full p in
-  let ours = Exec.estimate ~sub_rows:128 ~sub_cols:256 full compiled in
+  let ours =
+    Exec.estimate ~sub_rows:128 ~sub_cols:256 full [ Exec.compiled compiled ]
+  in
   let tuned =
     Exec.estimate ~sub_rows:128 ~sub_cols:256 (Config.tuned_runtime full)
-      compiled
+      [ Exec.compiled compiled ]
   in
   Printf.printf
     "\n2048-node cross9, 128x256 per node: naive %.2f GF, compiled %.2f GF,\n\
@@ -472,7 +480,9 @@ let sweep () =
           Printf.printf "%-11s %-6s |" name label;
           List.iter
             (fun s ->
-              let stats = Exec.estimate ~sub_rows:s ~sub_cols:s config c in
+              let stats =
+                Exec.estimate ~sub_rows:s ~sub_cols:s config [ Exec.compiled c ]
+              in
               Printf.printf " %7.1f MF" (Stats.mflops stats))
             sizes;
           print_newline ())
@@ -500,7 +510,7 @@ let bechamel () =
   let compiled =
     match Ccc.compile_fortran Config.default cross5_src with
     | Ok c -> c
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   let pattern = compiled.Ccc.Compile.pattern in
   let env =
@@ -518,7 +528,7 @@ let bechamel () =
         (Staged.stage (fun () ->
              ignore
                (Exec.estimate ~iterations:100 ~sub_rows:256 ~sub_cols:256
-                  Config.default compiled)));
+                  Config.default [ Exec.compiled compiled ])));
       Test.make ~name:"table1/run-fast-32x32"
         (Staged.stage (fun () -> ignore (Exec.run machine compiled env)));
       Test.make ~name:"gordon-bell/run-simulated-32x32"
@@ -610,7 +620,7 @@ let service () =
     let output =
       match Ccc.Engine.run engine p env with
       | Ok r -> r.Exec.output
-      | Error e -> failwith (Ccc.Engine.error_to_string e)
+      | Error e -> failwith (Ccc.Outcome.reject_to_string e)
     in
     let s = Ccc.Engine.stats engine in
     Printf.printf "%9d | %8d %8d %8d %12d %13.3e\n" i s.Ccc.Engine.compiles
@@ -632,7 +642,7 @@ let service () =
   let compiled =
     match Ccc.compile_pattern config kernel with
     | Ok c -> c
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   let one = Ccc.apply config compiled env in
   let batch =
@@ -640,7 +650,7 @@ let service () =
       Ccc.Engine.run_batch engine (List.init 10 (fun _ -> kernel)) env
     with
     | Ok b -> b
-    | Error e -> failwith (Ccc.Engine.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   let bs = batch.Exec.batch_stats in
   let os = one.Exec.stats in
@@ -688,7 +698,7 @@ let scaling () =
   let compiled =
     match Ccc.compile_pattern config kernel_pattern with
     | Ok c -> c
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   let rows = 256 and cols = 256 in
   let env = pattern_env ~rows ~cols kernel_pattern in
@@ -698,7 +708,8 @@ let scaling () =
   let repeats = 7 in
   let time_run ?pool ?kernel ?tile ~inner () =
     let run () =
-      Exec.run_arena ?pool ~inner ?kernel ?tile arena compiled env
+      Exec.single
+        (Exec.exec ?pool ~inner ?tile arena [ Exec.compiled ?kernel compiled ] env)
     in
     ignore (run ());
     (* warm the arena / pagecache *)
@@ -800,7 +811,7 @@ let obs () =
      Ccc.compile_pattern ~obs:o config cross5.Ccc.Compile.pattern
    with
   | Ok _ -> ()
-  | Error e -> failwith (Ccc.error_to_string e));
+  | Error e -> failwith (Ccc.Outcome.reject_to_string e));
   ignore (Ccc.apply ~obs:o config cross5 env);
   let json = Ccc.Trace.to_chrome_json o.Ccc.Obs.trace in
   Out_channel.with_open_text "obs-trace.json" (fun oc ->
@@ -817,7 +828,7 @@ let obs () =
   List.iter
     (fun (name, sub_rows, sub_cols) ->
       let c = List.assoc name compiled in
-      let b = Exec.attribute ~sub_rows ~sub_cols config c in
+      let b = Exec.attribute ~sub_rows ~sub_cols config [ Exec.compiled c ] in
       Printf.printf "\n%s, %dx%d subgrid per node:\n" name sub_rows sub_cols;
       Format.printf "%a@." Ccc.Profiler.pp_breakdown b)
     [ ("cross5", 128, 256); ("square9", 128, 256); ("diamond13", 128, 128) ];
@@ -1093,10 +1104,12 @@ let fft_crossover () =
                 | Ok c -> c
                 | Error r -> failwith (Ccc.Compile.no_workable r)
               in
-              let est = Exec.estimate ~sub_rows:sub ~sub_cols:sub rich compiled in
-              let direct = est.Stats.comm_cycles + est.Stats.compute_cycles in
-              let pad = Pattern.max_border p in
-              let fft_pred = Ccc.Cost.fft_cycles rich ~rows:n ~cols:n ~pad in
+              let total st =
+                let s = Exec.estimate ~sub_rows:sub ~sub_cols:sub rich [ st ] in
+                s.Stats.comm_cycles + s.Stats.compute_cycles
+              in
+              let direct = total (Exec.compiled compiled) in
+              let fft_pred = total (Exec.transform p) in
               let env = pattern_env ~rows:n ~cols:n p in
               let kernel = Ccc.Kernel.build rich compiled in
               let t_cmp =
@@ -1109,7 +1122,10 @@ let fft_crossover () =
                  construction is likewise excluded *)
               let plan = Ccc.Fft.build p ~rows:n ~cols:n env in
               let t_fft =
-                time_best (fun () -> Exec.run_fft ~plan machine p env)
+                time_best (fun () ->
+                    Exec.exec (Exec.Arena.transient machine)
+                      [ Exec.transform ~plan p ]
+                      env)
               in
               Printf.printf "  %3d %5d %12d %12d %7s %10.4f %10.4f %7s\n" k
                 (k * k) direct fft_pred

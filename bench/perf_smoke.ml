@@ -34,7 +34,7 @@ let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let check_pattern pools name p =
   match Ccc.compile_pattern config p with
-  | Error e -> fail "%s: compile failed: %s" name (Ccc.error_to_string e)
+  | Error e -> fail "%s: compile failed: %s" name (Ccc.Outcome.reject_to_string e)
   | Ok compiled ->
       let rows = 4 * 8 and cols = 4 * 8 in
       let env = env_for p ~rows ~cols in
@@ -104,7 +104,7 @@ let check_pattern pools name p =
 let check_walltime () =
   let p = Ccc.Seismic.kernel () in
   match Ccc.compile_pattern config p with
-  | Error e -> fail "walltime: compile failed: %s" (Ccc.error_to_string e)
+  | Error e -> fail "walltime: compile failed: %s" (Ccc.Outcome.reject_to_string e)
   | Ok compiled ->
       let rows = 256 and cols = 256 in
       let env = env_for p ~rows ~cols in
@@ -112,7 +112,8 @@ let check_walltime () =
       let arena = Exec.Arena.create (Ccc.machine config) in
       let repeats = 5 in
       let run ?pool ?kernel inner () =
-        ignore (Exec.run_arena ?pool ~inner ?kernel arena compiled env)
+        ignore
+          (Exec.exec ?pool ~inner arena [ Exec.compiled ?kernel compiled ] env)
       in
       (* Mean seconds per run over one batch of [repeats]. *)
       let batch run =
@@ -195,7 +196,7 @@ let check_fft () =
   in
   let pair name config p =
     match Ccc.compile_pattern config p with
-    | Error e -> fail "fft: %s compile failed: %s" name (Ccc.error_to_string e)
+    | Error e -> fail "fft: %s compile failed: %s" name (Ccc.Outcome.reject_to_string e)
     | Ok compiled ->
         (* coefficients held uniform — the transform path requires it;
            the source grid stays mixed *)
@@ -214,7 +215,12 @@ let check_fft () =
               Exec.run ~mode:Exec.Fast ~inner:Exec.Lowered ~kernel machine
                 compiled env)
         in
-        let fft_s = time (fun () -> Exec.run_fft ~plan machine p env) in
+        let fft_s =
+          time (fun () ->
+              Exec.exec (Exec.Arena.transient machine)
+                [ Exec.transform ~plan p ]
+                env)
+        in
         (kernel_s, fft_s)
   in
   let dense =
@@ -293,7 +299,7 @@ let check_serve () =
             match Ccc.Engine.run engine p env with
             | Error e ->
                 fail "serve: %s engine baseline failed: %s" name
-                  (Ccc.error_to_string e)
+                  (Ccc.Outcome.reject_to_string e)
             | Ok baseline ->
                 if Grid.max_abs_diff baseline.Exec.output out <> 0.0 then
                   fail

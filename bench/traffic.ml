@@ -200,7 +200,7 @@ let run_coalescing ~dups =
     List.fold_left
       (fun (c, f) (_, p, env, _) ->
         match Ccc.compile_pattern config p with
-        | Error e -> failwith (Ccc.error_to_string e)
+        | Error e -> failwith (Ccc.Outcome.reject_to_string e)
         | Ok compiled ->
             let r = Ccc.apply config compiled env in
             ( c + (dups * r.Ccc.Exec.stats.Ccc.Stats.comm_cycles),

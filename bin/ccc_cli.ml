@@ -87,7 +87,7 @@ let or_die = function
 let die_outcome o = exit (Ccc.Outcome.exit_code o)
 
 let die_reject e =
-  prerr_endline (Ccc.error_to_string e);
+  prerr_endline (Ccc.Outcome.reject_to_string e);
   die_outcome (Ccc.Outcome.refused e)
 
 (* --trace FILE: record the full span tree and write it as Chrome
@@ -258,7 +258,11 @@ let run_cmd =
       Fun.protect ~finally:(fun () -> Option.iter Ccc.Pool.shutdown pool)
       @@ fun () ->
       let { Ccc.Exec.output; stats } =
-        Ccc.Exec.run_fft ?obs ?pool ~iterations machine pattern env
+        Ccc.Exec.single
+          (Ccc.Exec.exec ?obs ?pool ~iterations
+             (Ccc.Exec.Arena.transient machine)
+             [ Ccc.Exec.transform pattern ]
+             env)
       in
       let expected = Ccc.Reference.apply pattern env in
       Format.printf "%a@." Ccc.Stats.pp stats;
@@ -286,7 +290,7 @@ let run_cmd =
     end
     else
       match compile_input ?obs config ~defstencil ~statement source with
-      | Error (Ccc.Resource_error _ as e)
+      | Error (Ccc.Outcome.Resource_error _ as e)
         when backend <> Ccc.Exec.Force_compiled -> (
           (* the dense fallthrough: no width fits registers, but the
              transform path does not care about tap count *)
@@ -362,7 +366,7 @@ let estimate_cmd =
           (fun (r, c) ->
             match
               Ccc.Exec.estimate ~iterations:100 ~sub_rows:r ~sub_cols:c config
-                compiled
+                [ Ccc.Exec.compiled compiled ]
             with
             | stats ->
                 Printf.printf "%4dx%-5d | %10.1f %10.2f %12.2f\n" r c
@@ -435,15 +439,15 @@ let program_cmd =
                   incr failures;
                   Printf.printf
                     "%s: WARNING: flagged !CCC$ STENCIL but not processed:\n%s\n"
-                    u.Ccc.unit_name (Ccc.error_to_string e)
+                    u.Ccc.unit_name (Ccc.Outcome.reject_to_string e)
                 end
                 else
                   Printf.printf "%s: general code path (%s)\n" u.Ccc.unit_name
                     (match e with
-                    | Ccc.Rejected _ -> "not a stencil assignment"
-                    | Ccc.Resource_error _ -> "resource limits"
-                    | Ccc.Parse_error m -> m
-                    | Ccc.Too_small m | Ccc.Invalid_batch m -> m))
+                    | Ccc.Outcome.Rejected _ -> "not a stencil assignment"
+                    | Ccc.Outcome.Resource_error _ -> "resource limits"
+                    | Ccc.Outcome.Parse_error m -> m
+                    | Ccc.Outcome.Too_small m | Ccc.Outcome.Invalid_batch m -> m))
           units;
         if !failures > 0 then exit 1
   in
@@ -614,11 +618,11 @@ let batch_cmd =
           match Ccc.Recognize.statement stmt with
           | Ok p -> p
           | Error diags ->
-              die_reject (Ccc.Rejected diags)
+              die_reject (Ccc.Outcome.Rejected diags)
         end
       | exception Ccc.Parser.Error { line; message } ->
           die_reject
-            (Ccc.Parse_error (Printf.sprintf "line %d: %s" line message))
+            (Ccc.Outcome.Parse_error (Printf.sprintf "line %d: %s" line message))
     in
     let patterns = List.map recognize stmts in
     let pattern_names p =
@@ -639,7 +643,11 @@ let batch_cmd =
     in
     let env = synthetic_env ~rows ~cols names in
     let obs = obs_of_trace trace in
-    let engine = Ccc.Engine.create ?obs ~jobs config in
+    let engine =
+      Ccc.Engine.create ?obs
+        ~settings:{ Ccc.Engine.default_settings with jobs }
+        config
+    in
     at_exit (fun () -> Ccc.Engine.shutdown engine);
     let last = ref None in
     for _ = 1 to repeat do
@@ -750,7 +758,10 @@ let profile_cmd =
         Format.printf "%a" (Ccc.Trace.pp_tree ~timings:false) obs.Ccc.Obs.trace;
         let sub_rows = rows / config.Ccc.Config.node_rows in
         let sub_cols = cols / config.Ccc.Config.node_cols in
-        let b = Ccc.Exec.attribute ~sub_rows ~sub_cols config compiled in
+        let b =
+          Ccc.Exec.attribute ~sub_rows ~sub_cols config
+            [ Ccc.Exec.compiled compiled ]
+        in
         Format.printf "@\nattribution (%dx%d subgrid per node):@\n%a@."
           sub_rows sub_cols Ccc.Profiler.pp_breakdown b;
         let attributed = Ccc.Profiler.total b.Ccc.Profiler.compute in

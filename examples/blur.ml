@@ -53,7 +53,7 @@ let () =
   let compiled =
     match Ccc.compile_fortran_statement config statement with
     | Ok c -> c
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   print_endline "Compilation report:";
   print_endline (Ccc.report compiled);

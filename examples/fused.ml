@@ -57,12 +57,13 @@ let () =
   let fused =
     match Ccc.compile_fortran_statement_multi config statement with
     | Ok f -> f
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   print_endline "Fused compilation report:";
   print_endline (Ccc.fused_report fused);
 
   let machine = Ccc.machine config in
+  let arena = Ccc.Exec.Arena.create machine in
   let coeffs = coefficient_arrays () in
   let p = ref (initial_pressure ()) in
   let p_old = ref (Grid.copy !p) in
@@ -70,7 +71,7 @@ let () =
   for _ = 1 to steps do
     let env = ("P", !p) :: ("POLD", !p_old) :: coeffs in
     let { Ccc.Exec.output; stats = s } =
-      Ccc.Exec.run_fused machine fused env
+      Ccc.Exec.single (Ccc.Exec.exec arena [ Ccc.Exec.fused fused ] env)
     in
     if !stats = None then stats := Some s;
     p_old := !p;
@@ -97,11 +98,11 @@ let () =
   let fused_prod =
     match Ccc.compile_fortran_statement_multi production statement with
     | Ok f -> f
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   let fused_stats =
-    Ccc.Exec.estimate_fused ~sub_rows:64 ~sub_cols:128 ~iterations:1000
-      production fused_prod
+    Ccc.Exec.estimate ~sub_rows:64 ~sub_cols:128 ~iterations:1000 production
+      [ Ccc.Exec.fused fused_prod ]
   in
   let two_pass =
     Ccc.Seismic.estimate ~version:Ccc.Seismic.Unrolled3 ~sub_rows:64

@@ -54,7 +54,7 @@ let () =
   let compiled =
     match Ccc.compile_fortran_statement config statement with
     | Ok c -> c
-    | Error e -> failwith (Ccc.error_to_string e)
+    | Error e -> failwith (Ccc.Outcome.reject_to_string e)
   in
   print_endline "Compilation report (4 taps + bias term):";
   print_endline (Ccc.report compiled);
@@ -101,7 +101,7 @@ let () =
   (* Performance view: one sweep at production scale. *)
   let stats =
     Ccc.Exec.estimate ~iterations:100 ~sub_rows:128 ~sub_cols:128 config
-      compiled
+      [ Ccc.Exec.compiled compiled ]
   in
   Printf.printf
     "at 128x128 per node: %.1f Mflops on 16 nodes, %.2f Gflops on 2048\n"

@@ -55,7 +55,7 @@ let () =
      full 2,048-node machine. *)
   let production =
     Ccc.Exec.estimate ~iterations:100 ~sub_rows:256 ~sub_cols:256 config
-      compiled
+      [ Ccc.Exec.compiled compiled ]
   in
   Printf.printf
     "at 256x256 per node, 100 iterations: %.1f Mflops on 16 nodes, %.2f \

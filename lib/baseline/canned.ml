@@ -29,7 +29,7 @@ let estimate ?(iterations = 1) ~sub_rows ~sub_cols config pattern =
     | Ok compiled ->
         Library
           (Exec.estimate ~primitive:Ccc_runtime.Halo.Legacy ~iterations
-             ~sub_rows ~sub_cols config compiled)
+             ~sub_rows ~sub_cols config [ Exec.compiled compiled ])
     | Error _ ->
         Fallback (Naive.estimate ~iterations ~sub_rows ~sub_cols config pattern)
   else

@@ -54,14 +54,7 @@ let src = Logs.Src.create "ccc" ~doc:"Ccc entry-point rejections"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type error = Ccc_service.Engine.error =
-  | Parse_error of string
-  | Rejected of Diagnostics.t list
-  | Resource_error of (int * Finding.t) list
-  | Too_small of string
-  | Invalid_batch of string
-
-let error_to_string = Engine.error_to_string
+open Outcome
 
 (* Structured rejection log for service operators: every error path
    out of the result-typed entry points warns with the stencil
@@ -73,7 +66,7 @@ let warn_rejection ?pattern e =
         (match pattern with
         | Some p -> Fingerprint.pattern p
         | None -> "<unrecognized>")
-        (error_to_string e))
+        (reject_to_string e))
 
 let compile_pattern ?obs config pattern =
   match Compile.compile ?obs config pattern with
@@ -124,7 +117,7 @@ let compile_defstencil ?obs config source =
 type program_unit = {
   unit_name : string;
   flagged : bool;
-  outcome : (Compile.t, error) result;
+  outcome : (Compile.t, reject) result;
 }
 
 let compile_program config source =
@@ -150,7 +143,7 @@ let compile_program config source =
 let compile_fortran_exn config source =
   match compile_fortran config source with
   | Ok compiled -> compiled
-  | Error e -> failwith (error_to_string e)
+  | Error e -> failwith (reject_to_string e)
 
 let compile_multi ?obs config multi =
   match Compile.compile_fused ?obs config multi with
@@ -160,7 +153,7 @@ let compile_multi ?obs config multi =
       Log.warn (fun m ->
           m "multistencil (%d taps) rejected: %s"
             (Ccc_stencil.Multi.tap_count multi)
-            (error_to_string e));
+            (reject_to_string e));
       Error e
 
 let compile_fortran_statement_multi ?obs config source =
@@ -192,18 +185,22 @@ let apply ?obs ?mode ?iterations ?(jobs = 1) config compiled env =
       Exec.run ?obs ?mode ?iterations ~pool (machine config) compiled env)
 
 let run ?obs ?mode ?iterations ?jobs config compiled env =
-  match apply ?obs ?mode ?iterations ?jobs config compiled env with
-  | result -> Ok result
-  | exception Exec.Too_small m ->
-      let e = Too_small m in
+  match
+    checked (fun () -> apply ?obs ?mode ?iterations ?jobs config compiled env)
+  with
+  | Ok _ as ok -> ok
+  | Error e as refused ->
       Log.warn (fun fmt ->
           fmt "stencil %s rejected: %s"
             (Fingerprint.pattern compiled.Compile.pattern)
-            (error_to_string e));
-      Error e
+            (reject_to_string e));
+      refused
 
 let apply_fused ?obs ?mode ?iterations ?(jobs = 1) config fused env =
   with_pool jobs (fun pool ->
-      Exec.run_fused ?obs ?mode ?iterations ~pool (machine config) fused env)
+      Exec.single
+        (Exec.exec ?obs ?mode ?iterations ~pool
+           (Exec.Arena.transient (machine config))
+           [ Exec.fused fused ] env))
 
 let report compiled = Format.asprintf "%a" Compile.pp_report compiled

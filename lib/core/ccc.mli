@@ -21,7 +21,7 @@
       let compiled = Ccc.compile_fortran_exn Ccc.Config.default source in
       match Ccc.run Ccc.Config.default compiled env with
       | Ok { Ccc.Exec.output; stats } -> ...
-      | Error e -> prerr_endline (Ccc.error_to_string e)
+      | Error e -> prerr_endline (Ccc.Outcome.reject_to_string e)
     ]}
 
     For many statements over one resident machine — the paper's
@@ -33,7 +33,7 @@
       let engine = Ccc.Engine.create Ccc.Config.default in
       match Ccc.Engine.run_statement engine stmt env with
       | Ok { Ccc.Exec.output; stats } -> ...
-      | Error e -> prerr_endline (Ccc.Engine.error_to_string e)
+      | Error e -> prerr_endline (Ccc.Outcome.reject_to_string e)
     ]}
 
     The submodule aliases expose each subsystem (machine model, stencil
@@ -92,9 +92,8 @@ module Fingerprint = Ccc_service.Fingerprint
 
 (** The unified request outcome (PR 7): success-with-stats, degraded,
     refused and shed in one shape, each carrying the stencil
-    fingerprint and cycle attribution.  {!type-error} below,
-    {!Engine.error} and {!Engine.outcome} are deprecated aliases /
-    precursors of its arms. *)
+    fingerprint and cycle attribution.  Every result-typed entry point
+    below rejects with its {!Outcome.reject}. *)
 module Outcome = Ccc_service.Outcome
 
 (** The multi-tenant stencil service (PR 7): {!Request} is the
@@ -121,41 +120,21 @@ module Profiler = Ccc_obs.Profiler
     structured warnings on the ["ccc"] {!Logs} source, carrying the
     stencil fingerprint when one is recoverable. *)
 
-(** Deprecated alias: the one definition of this shape is
-    {!Outcome.reject}; the alias (and its re-exported constructors)
-    keeps existing callers compiling while they migrate. *)
-type error = Ccc_service.Engine.error =
-  | Parse_error of string
-  | Rejected of Diagnostics.t list
-      (** the statement does not fit the stylized stencil form *)
-  | Resource_error of (int * Finding.t) list
-      (** no multistencil width fits registers or scratch memory: the
-          per-width rejection findings, widest first — the structured
-          form of the section-6 feedback (render with
-          {!Compile.no_workable} or {!error_to_string}) *)
-  | Too_small of string
-      (** the subgrid cannot accommodate the stencil's border *)
-  | Invalid_batch of string
-      (** batch statements do not share a source array and boundary *)
-
-val error_to_string : error -> string
-(** Deprecated alias of {!Outcome.reject_to_string}. *)
-
 val compile_pattern :
-  ?obs:Obs.t -> Config.t -> Pattern.t -> (Compile.t, error) result
+  ?obs:Obs.t -> Config.t -> Pattern.t -> (Compile.t, Outcome.reject) result
 (** Compile a stencil given directly as IR. *)
 
 val compile_fortran :
-  ?obs:Obs.t -> Config.t -> string -> (Compile.t, error) result
+  ?obs:Obs.t -> Config.t -> string -> (Compile.t, Outcome.reject) result
 (** Compile an isolated Fortran subroutine containing one stencil
     assignment (the paper's version-2 convention). *)
 
 val compile_fortran_statement :
-  ?obs:Obs.t -> Config.t -> string -> (Compile.t, error) result
+  ?obs:Obs.t -> Config.t -> string -> (Compile.t, Outcome.reject) result
 (** Compile a single bare assignment statement. *)
 
 val compile_defstencil :
-  ?obs:Obs.t -> Config.t -> string -> (Compile.t, error) result
+  ?obs:Obs.t -> Config.t -> string -> (Compile.t, Outcome.reject) result
 (** Compile a Lisp [defstencil] form (the version-1 convention). *)
 
 val compile_fortran_exn : Config.t -> string -> Compile.t
@@ -164,10 +143,11 @@ val compile_fortran_exn : Config.t -> string -> Compile.t
 type program_unit = {
   unit_name : string;  (** subroutine name *)
   flagged : bool;  (** carried a [!CCC$ STENCIL] directive *)
-  outcome : (Compile.t, error) result;
+  outcome : (Compile.t, Outcome.reject) result;
 }
 
-val compile_program : Config.t -> string -> (program_unit list, error) result
+val compile_program :
+  Config.t -> string -> (program_unit list, Outcome.reject) result
 (** Compile every subroutine in a source file — the section-6 workflow
     for the production compiler.  A subroutine flagged with the
     [!CCC$ STENCIL] structured comment that cannot be processed is a
@@ -185,10 +165,10 @@ val compile_program : Config.t -> string -> (program_unit list, error) result
     per source. *)
 
 val compile_multi :
-  ?obs:Obs.t -> Config.t -> Multi.t -> (Compile.fused, error) result
+  ?obs:Obs.t -> Config.t -> Multi.t -> (Compile.fused, Outcome.reject) result
 
 val compile_fortran_statement_multi :
-  ?obs:Obs.t -> Config.t -> string -> (Compile.fused, error) result
+  ?obs:Obs.t -> Config.t -> string -> (Compile.fused, Outcome.reject) result
 
 val apply_fused :
   ?obs:Obs.t ->
@@ -199,6 +179,11 @@ val apply_fused :
   Compile.fused ->
   Reference.env ->
   Exec.result
+(** One-shot fused run: the one-statement program [[Exec.fused f]] on a
+    fresh machine.  Like {!apply}, raises {!Reference.Unbound},
+    {!Reference.Shape_mismatch} (every array must have the first
+    source's shape) or {!Exec.Too_small} before anything is
+    allocated. *)
 
 val fused_report : Compile.fused -> string
 
@@ -214,16 +199,18 @@ val run :
   Config.t ->
   Compile.t ->
   Reference.env ->
-  (Exec.result, error) result
+  (Exec.result, Outcome.reject) result
 (** One-shot: build a machine, run, return output and statistics.  The
-    primary entry point; a stencil whose border exceeds the per-node
-    subgrid returns [Error (Too_small _)] (and a structured warning
-    with the stencil fingerprint).  [jobs] (default 1) runs the
-    per-node loops across that many domains (a {!Pool} spawned and
-    joined inside the call); the output and statistics are
-    bit-identical for every jobs value.  For repeated requests use
-    {!Engine}, which keeps the machine (and compiled plans, and the
-    pool) resident between calls. *)
+    primary entry point.  Input errors are refused, not raised: an
+    unbound or mis-shaped array, or a grid that does not divide over
+    the node grid, returns [Error (Parse_error _)], and a stencil whose
+    border exceeds the per-node subgrid [Error (Too_small _)] (each
+    with a structured warning carrying the stencil fingerprint).
+    [jobs] (default 1) runs the per-node loops across that many
+    domains (a {!Pool} spawned and joined inside the call); the output
+    and statistics are bit-identical for every jobs value.  For
+    repeated requests use {!Engine}, which keeps the machine (and
+    compiled plans, and the pool) resident between calls. *)
 
 val apply :
   ?obs:Obs.t ->
@@ -234,8 +221,9 @@ val apply :
   Compile.t ->
   Reference.env ->
   Exec.result
-(** {!run} in exception style: raises {!Exec.Too_small} instead of
-    returning it.  Kept as the historical name. *)
+(** {!run} in exception style: raises {!Exec.Too_small},
+    {!Reference.Unbound} or {!Reference.Shape_mismatch} instead of
+    returning them.  Kept as the historical name. *)
 
 val report : Compile.t -> string
 (** The compilation report (widths, registers, rings, unroll factors,

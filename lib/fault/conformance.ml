@@ -74,6 +74,14 @@ let uniform_env_for ~seed ~rows ~cols pattern =
 
 let paths = [ "reference"; "simulate"; "tapwalk"; "lowered"; "fft" ]
 
+(* The transform path: one transform statement on a transient arena. *)
+let transform_output ?plan ?pool ?hooks machine pattern env =
+  (Exec.single
+     (Exec.exec ?pool ?hooks (Exec.Arena.transient machine)
+        [ Exec.transform ?plan pattern ]
+        env))
+    .Exec.output
+
 let run_path ~path ~pool ~machine ~kernel ~hooks compiled env =
   let pattern = compiled.Compile.pattern in
   match path with
@@ -89,7 +97,7 @@ let run_path ~path ~pool ~machine ~kernel ~hooks compiled env =
       (Exec.run ~mode:Exec.Fast ~inner:Exec.Lowered ~kernel ~pool ~hooks
          machine compiled env)
         .Exec.output
-  | "fft" -> (Exec.run_fft ~pool ~hooks machine pattern env).Exec.output
+  | "fft" -> transform_output ~pool ~hooks machine pattern env
   | _ -> invalid_arg "Conformance.run_path"
 
 let run ?(obs = Obs.disabled) ?(seed = 42) ?(jobs_list = [ 1; 2; 7 ])
@@ -363,7 +371,7 @@ let run ?(obs = Obs.disabled) ?(seed = 42) ?(jobs_list = [ 1; 2; 7 ])
       let plan_clean = Fft.build pattern ~rows ~cols env_u in
       let clean_ck_fft =
         Guard.grid_checksum
-          ((Exec.run_fft ~plan:plan_clean machine pattern env_u).Exec.output)
+          (transform_output ~plan:plan_clean machine pattern env_u)
       in
       let plan_used = ref plan_clean in
       kill_sweep ~path:"fft" ~faults:Inject.fft_faults ~env:env_u
@@ -373,15 +381,14 @@ let run ?(obs = Obs.disabled) ?(seed = 42) ?(jobs_list = [ 1; 2; 7 ])
           let p = Fft.build pattern ~rows ~cols env_u in
           Inject.poison_fft inj p;
           plan_used := p;
-          (Exec.run_fft ~plan:p ~pool ~hooks machine pattern env_u).Exec.output)
+          transform_output ~plan:p ~pool ~hooks machine pattern env_u)
         ~root_cause:(fun () ->
           match Fft.verify pattern !plan_used with
           | () -> []
           | exception Finding.Failed fs -> fs)
         ~recover:(fun inj ~pool ->
-          (Exec.run_fft ~plan:plan_clean ~pool ~hooks:(Inject.hooks inj)
-             machine pattern env_u)
-            .Exec.output))
+          transform_output ~plan:plan_clean ~pool ~hooks:(Inject.hooks inj)
+            machine pattern env_u))
     gallery;
   {
     seed;

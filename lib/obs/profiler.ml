@@ -11,6 +11,7 @@ type compute = {
   drain : int;
   stores : int;
   loop_branch : int;
+  transform : int;
 }
 
 let zero =
@@ -24,6 +25,7 @@ let zero =
     drain = 0;
     stores = 0;
     loop_branch = 0;
+    transform = 0;
   }
 
 let add a b =
@@ -37,6 +39,7 @@ let add a b =
     drain = a.drain + b.drain;
     stores = a.stores + b.stores;
     loop_branch = a.loop_branch + b.loop_branch;
+    transform = a.transform + b.transform;
   }
 
 let scale k c =
@@ -50,11 +53,12 @@ let scale k c =
     drain = k * c.drain;
     stores = k * c.stores;
     loop_branch = k * c.loop_branch;
+    transform = k * c.transform;
   }
 
 let total c =
   c.startup + c.prologue + c.line_overhead + c.loads + c.pipe_reversal
-  + c.madds + c.drain + c.stores + c.loop_branch
+  + c.madds + c.drain + c.stores + c.loop_branch + c.transform
 
 (* Assembled from the same Cost terms the closed-form model sums, so
    [total (halfstrip config plan ~lines)] is Cost.halfstrip_cycles by
@@ -75,6 +79,7 @@ let halfstrip (config : Ccc_cm2.Config.t) (plan : Plan.t) ~lines =
       drain = lines * Cost.drain_cycles config;
       stores = lines * Cost.slot_cycles config phase.Plan.stores;
       loop_branch = lines * config.loop_branch_cycles;
+      transform = 0;
     }
 
 type breakdown = {
@@ -94,6 +99,7 @@ let phases c =
     ("drain", c.drain);
     ("stores", c.stores);
     ("loop branch", c.loop_branch);
+    ("transform", c.transform);
   ]
 
 let attr_key name =

@@ -23,9 +23,14 @@ type compute = {
   drain : int;  (** writeback latency not hidden by the reversal *)
   stores : int;  (** store slots *)
   loop_branch : int;  (** loop-end branch *)
+  transform : int;
+      (** the transform path's butterflies and spectral products
+          ({!Ccc_microcode.Cost.fft_compute_cycles}), which run no
+          microcode half-strips *)
 }
 (** Compute cycles of one or more half-strips, attributed to the nine
-    sequencer phases of section 5's microcode routine. *)
+    sequencer phases of section 5's microcode routine, plus the
+    transform path's compute as a tenth. *)
 
 val zero : compute
 

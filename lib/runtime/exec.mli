@@ -2,7 +2,19 @@
     arrays, perform all interprocessor communication up front, then
     drive the microcode over strips and half-strips.
 
-    Two execution modes share every phase except the inner loop:
+    There is one driver, {!exec}, and it runs a {!program}: source
+    arrays with their borders, plus statements over them.  A one-shot
+    Fortran statement ({!run}) is a one-statement program on a
+    transient arena; the engine's batch of statements over one source
+    array is a program of n statements behind one halo exchange; a
+    fused multi-source statement is a program with several sources;
+    the transform path is a statement whose plan is an {!Fft} plan
+    instead of microcode.  The driver's statistics are the output of
+    one price walk, which {!estimate} and {!attribute} expose without
+    running anything.
+
+    Compiled statements run in one of two modes, which share every
+    phase except the inner loop:
 
     - [Simulate] runs the cycle-accurate microcode interpreter against
       the FPU pipeline model on every node — the mode the correctness
@@ -16,31 +28,39 @@
 
     Two host-side levers speed the per-node work without changing any
     result bit: [inner] selects the Fast inner loop (the precompiled
-    {!Kernel} offset walk by default, or the original bounds-checked
-    tapwalk as the measurable baseline), and [pool] runs the per-node
-    loops — compute, scatter/gather, halo fill — across a {!Pool} of
-    domains.  The [Lowered] inner loop additionally blocks each node's
-    subgrid into [tile]-sized tiles (default
-    {!Ccc_cm2.Config.t}[.tile]): the pool's shared queue schedules
-    (node, tile) items instead of whole nodes, so jobs can outnumber
-    nodes and an expensive node no longer serializes its whole
-    subgrid.  Outputs are bit-identical across all four combinations,
-    every jobs value and every tile geometry; [Simulate] keeps
-    asserting Cost = Interp on every node under the pool. *)
+    {!Kernel} offset walk by default, or the bounds-checked tapwalk as
+    the measurable baseline), and [pool] runs the per-node loops —
+    compute, scatter/gather, halo fill — across a {!Pool} of domains.
+    The [Lowered] inner loop additionally blocks each node's subgrid
+    into [tile]-sized tiles (default {!Ccc_cm2.Config.t}[.tile]): the
+    pool's shared queue schedules (node, tile) items instead of whole
+    nodes, so jobs can outnumber nodes and an expensive node no longer
+    serializes its whole subgrid.  Outputs are bit-identical across
+    all four combinations, every jobs value and every tile geometry;
+    [Simulate] keeps asserting Cost = Interp on every node under the
+    pool. *)
 
 type mode = Simulate | Fast
 
 (** The Fast inner loop: [Lowered] (default) is {!Kernel}'s
     preresolved offset walk; [Tapwalk] re-derives operand addresses
     from the tap list per element — kept as the measurable baseline
-    the scaling benchmark compares against. *)
+    the scaling benchmark compares against, and as one of the five
+    paths of the conformance matrix. *)
 type inner = Tapwalk | Lowered
 
 type result = { output : Grid.t; stats : Stats.t }
 
+type batch = { batch_results : result list; batch_stats : Stats.t }
+(** A program's results, one per statement in order, plus its total.
+    Each statement's own stats carry only its own cycles: compute,
+    dispatch stalls and, on the transform path, the transposes.  What
+    the statements share — one halo exchange per source and one
+    front-end launch — is paid once and appears in [batch_stats]. *)
+
 exception Too_small of string
 (** The subgrid cannot accommodate the stencil (border width exceeds a
-    subgrid side, or fewer rows than the multistencil needs). *)
+    subgrid side). *)
 
 (** {1 Chaos hooks}
 
@@ -54,8 +74,8 @@ exception Too_small of string
 
 type phase_ctx = {
   phase : string;
-      (** ["halo"] (after the exchange) or ["compute"] (after the
-          inner loops) *)
+      (** ["halo"] (after each source's exchange) or ["compute"] (after
+          each statement's inner loops) *)
   machine : Ccc_cm2.Machine.t;
   source : Dist.t option;
       (** the distributed source array feeding the halo exchange *)
@@ -81,6 +101,142 @@ val compose_hooks : hooks -> hooks -> hooks
     the conformance harness stacks a corrupting injector in front of
     the guards that must catch it. *)
 
+(** {1 Programs} *)
+
+(** How a statement computes. *)
+type plan =
+  | Compiled of {
+      plans : Ccc_microcode.Plan.t list;  (** descending by width *)
+      kernel : Kernel.t;  (** the [Lowered] inner loop *)
+    }
+  | Transform of Fft.plan option
+      (** one global circular convolution through {!Fft}: a supplied
+          (cached) plan is re-bound against each call's coefficient
+          values; [None] builds one on the fly, unverified (use
+          {!Fft.build} for the verifying variant).  Raises
+          {!Fft.Varying} on a spatially non-uniform coefficient.
+          Output is bit-identical across jobs values, and 1e-9-close
+          (not bit-identical) to the direct paths. *)
+
+type statement = { taps : Ccc_stencil.Multi.t; plan : plan }
+
+type program = statement list
+(** Statements in execution order.  Their source arrays are the
+    program's sources: each is exchanged once, padded to the widest
+    border any statement reads it with, corners fetched if any
+    statement reads a diagonal (sound for the others, which never read
+    corners).  Every statement reading a source must use the same
+    boundary semantics; the driver and the price walk raise
+    [Invalid_argument] otherwise, and on an empty program. *)
+
+val compiled : ?kernel:Kernel.t -> Ccc_compiler.Compile.t -> statement
+(** A compiled single-source statement.  [kernel] supplies a
+    pre-verified lowering (the engine's cached one); when absent the
+    statement lowers on the fly, unverified (the qcheck properties
+    cover it). *)
+
+val fused : Ccc_compiler.Compile.fused -> statement
+(** A compiled multi-source statement — the future-work
+    generalization that handles "all ten terms as one stencil
+    pattern" (section 7). *)
+
+val transform : ?plan:Fft.plan -> Ccc_stencil.Pattern.t -> statement
+(** A transform-path statement: no compilation is needed, which is the
+    point — dense kernels the compiler rejects still run here. *)
+
+(** {1 Arenas} *)
+
+module Arena : sig
+  type t
+  (** The regions a program runs in: source and destination subgrids,
+      coefficient streams and padded halo temporaries.  The node
+      memories are bump allocators, so an arena caches exactly one
+      shape profile (subgrid sides, per-source border widths, stream
+      count): a matching call reuses every region in place; a
+      different profile frees back to the arena's floor watermark and
+      rebuilds. *)
+
+  val create : Ccc_cm2.Machine.t -> t
+  (** A standing arena, as a persistent engine
+      ({!Ccc_service.Engine}) keeps one: take the floor watermark at
+      the machine's current allocation top.  Anything allocated
+      afterwards is managed by the arena and released by profile
+      changes and {!reset}, so a repeated call of the same shape skips
+      the allocate/release cycle entirely and pays only data
+      movement. *)
+
+  val transient : Ccc_cm2.Machine.t -> t
+  (** Like {!create}, but {!exec} releases the arena's regions back to
+      the floor before it returns — the faithful rendering of one
+      Fortran statement, and the arena of {!run}. *)
+
+  val reuses : t -> int
+  (** Calls served from the standing regions. *)
+
+  val rebuilds : t -> int
+  (** Calls that had to (re)build the regions: the first call, and
+      every shape-profile change. *)
+
+  val reset : t -> unit
+  (** Release the regions back to the floor watermark. *)
+end
+
+(** {1 Execution} *)
+
+val check :
+  Ccc_cm2.Config.t -> Ccc_stencil.Multi.t list -> Reference.env -> int * int
+(** The driver's input check, run before anything is allocated:
+    every array each statement reads is bound ({!Reference.Unbound}
+    otherwise) and has the shape of the program's first source, which
+    must divide over the node grid ({!Reference.Shape_mismatch}
+    otherwise), and every source's border fits the per-node subgrid
+    ({!Too_small} otherwise).  Returns the per-node subgrid shape. *)
+
+val exec :
+  ?obs:Ccc_obs.Obs.t ->
+  ?mode:mode ->
+  ?primitive:Halo.primitive ->
+  ?iterations:int ->
+  ?pool:Pool.t ->
+  ?inner:inner ->
+  ?tile:int * int ->
+  ?hooks:hooks ->
+  Arena.t ->
+  program ->
+  Reference.env ->
+  batch
+(** The driver.  In order: {!check} the environment and resolve every
+    transform plan; acquire the arena's regions; scatter each source
+    (the first statement's coefficient streams fill alongside); run
+    one halo exchange per source (the ["halo"] hook after each); then,
+    per statement, refill its streams, compute, fire the ["compute"]
+    hook and gather.  Statistics are {!estimate}'s for the same
+    program, by construction.
+
+    [iterations] (default 1) scales the timing statistics the way the
+    paper's sustained measurements loop the computation; the data
+    result is that of a single application.  [mode] applies to
+    compiled statements (the transform has no microcode to
+    interpret).  [tile] overrides the machine config's kernel blocking
+    (clamped to the subgrid; the result is bit-identical at every
+    geometry).
+
+    [obs] (default disabled — one branch per phase, no allocation)
+    opens a [run] span ([run.batch] for several statements, with a
+    [statements] attribute; [run.fused] for one statement over several
+    sources) with [run.scatter] / [run.streams] / [run.halo] /
+    [run.compute] (one [run.halfstrip] child per half-strip,
+    cycle-priced by the analytic model) / [run.gather] children, plus
+    [run.frontend] on a transient arena, and folds the total
+    {!Stats.t} into the context's metrics registry.  Spans and metrics
+    are recorded only from the coordinating domain, outside the pooled
+    loops. *)
+
+val single : batch -> result
+(** A one-statement program's result: its output with the program's
+    total statistics.  Raises [Invalid_argument] on any other
+    program. *)
+
 val run :
   ?obs:Ccc_obs.Obs.t ->
   ?mode:mode ->
@@ -95,91 +251,42 @@ val run :
   Ccc_compiler.Compile.t ->
   Reference.env ->
   result
-(** Execute one compiled stencil over host arrays.  [iterations]
-    (default 1) scales the timing statistics the way the paper's
-    sustained measurements loop the computation; the data result is
-    that of a single application.  All temporaries allocated on the
-    machine are released before returning.  [pool] (default
-    sequential) parallelizes the per-node loops; [kernel] supplies a
-    pre-verified lowering (the engine's cached one) — when absent the
-    [Lowered] inner loop lowers on the fly, unverified (the qcheck
-    properties cover it).  [tile] overrides the machine config's
-    kernel blocking for this run (clamped to the subgrid; the result
-    is bit-identical at every geometry).  [obs] (default disabled — one branch per
-    phase, no allocation) opens a [run] span with [run.scatter] /
-    [run.streams] / [run.halo] / [run.compute] (one [run.halfstrip]
-    child per half-strip, cycle-priced by the analytic model) /
-    [run.gather] / [run.frontend] children, and folds the run's
-    {!Stats.t} into the context's metrics registry.  Spans and metrics
-    are recorded only from the coordinating domain, outside the pooled
-    loops. *)
+(** Execute one compiled stencil over host arrays: {!exec} of the
+    one-statement program [[compiled ?kernel c]] on a transient arena,
+    so every temporary allocated on the machine is released before
+    returning. *)
 
-val run_padded :
-  ?obs:Ccc_obs.Obs.t ->
-  ?mode:mode ->
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  ?pool:Pool.t ->
-  ?inner:inner ->
-  Ccc_cm2.Machine.t ->
-  Ccc_compiler.Compile.t ->
-  Reference.env ->
-  result
-(** Like {!run} but accepts array shapes that do not divide evenly
-    over the node grid: the run-time library grows every array with
-    fill rows/columns to the next multiple of the node grid, computes,
-    and crops the result.  Sound for {!Ccc_stencil.Boundary.End_off}
-    patterns, whose taps past the true edge read the fill value either
-    way; a circular pattern would wrap through the padding, so [run]'s
-    divisibility requirement stands and this raises
-    [Invalid_argument]. *)
+(** {1 Pricing} *)
 
-(** {1 The transform-domain path (PR 10)}
-
-    The fifth backend: one global circular convolution through
-    {!Fft} instead of per-node strip walking.  Same phase structure
-    and hook seam as {!run} — scatter, halo exchange (["halo"] hook),
-    compute (["compute"] hook, {!hooks.on_compute_node} once per node
-    while the global padded frame is assembled from that node's
-    exchanged temporaries), gather — so the fault injectors and guards
-    of [Ccc_fault] ride unchanged.  Statistics are priced by
-    {!Ccc_microcode.Cost.fft_cycles}'s compute and transpose terms
-    plus the real halo cycles. *)
-
-val run_fft :
-  ?obs:Ccc_obs.Obs.t ->
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  ?pool:Pool.t ->
-  ?plan:Fft.plan ->
-  ?hooks:hooks ->
-  Ccc_cm2.Machine.t ->
-  Ccc_stencil.Pattern.t ->
-  Reference.env ->
-  result
-(** Execute one stencil as a transform-domain convolution.  Takes the
-    pattern directly — no compilation is needed, which is the point:
-    dense kernels the compiler rejects still run here.  [plan]
-    supplies a cached transform plan (the engine's), re-bound against
-    this call's coefficient values before use; when absent a plan is
-    built on the fly (unverified, like {!run}'s on-the-fly kernel —
-    use {!Fft.build} for the verifying variant).  Raises
-    {!Fft.Varying} on a spatially non-uniform coefficient and
-    {!Too_small} when the border exceeds the subgrid.  Output is
-    bit-identical across jobs values, and 1e-9-close (not
-    bit-identical) to the direct paths. *)
-
-val estimate_fft :
+val estimate :
   ?primitive:Halo.primitive ->
   ?iterations:int ->
   sub_rows:int ->
   sub_cols:int ->
   Ccc_cm2.Config.t ->
-  Ccc_stencil.Pattern.t ->
+  program ->
   Stats.t
-(** {!estimate}'s transform-path counterpart: the statistics
-    {!run_fft} would report for the given per-node subgrid shape,
-    with the halo term from {!Halo.cycles_model}. *)
+(** Timing without data: the total statistics {!exec} reports for the
+    program on a per-node subgrid of the given shape — the same walk,
+    not a model of it.  The benchmark harness uses this for the
+    paper's production-size rows (10^13 flops would be unreasonable to
+    move through the simulator).  Raises {!Too_small} when a border
+    exceeds the subgrid. *)
+
+val attribute :
+  ?primitive:Halo.primitive ->
+  sub_rows:int ->
+  sub_cols:int ->
+  Ccc_cm2.Config.t ->
+  program ->
+  Ccc_obs.Profiler.breakdown
+(** Per-phase cycle attribution: {!estimate}'s walk with the compute
+    share opened up into the nine microcode phases of
+    {!Ccc_obs.Profiler} (and the transform's compute as a tenth).  The
+    breakdown's compute total equals {!estimate}'s [compute_cycles]
+    (and therefore the interpreter's cycle count) by construction —
+    the paper's Table-1 split as live telemetry.  Raises {!Too_small}
+    like {!estimate}. *)
 
 (** {1 Backend selection}
 
@@ -202,146 +309,15 @@ val select_backend :
   [ `Compiled | `Fft ]
 (** Choose the execution path for one request: a pure, deterministic
     function of the configuration, the compiled plans (or [None] when
-    compilation was rejected) and the grid shape.  Under [Auto] the
-    compiled path is priced by {!estimate} and the transform path by
-    {!Ccc_microcode.Cost.fft_cycles}; ties go to the compiled path,
-    whose results are bit-identical to the simulator.  [Auto] with no
-    compiled plans is the dense-kernel fallthrough: [`Fft] instead of
-    a resource rejection.  The caller remains responsible for FFT
-    eligibility (spatially uniform coefficients). *)
+    compilation was rejected) and the grid shape.  Under [Auto] both
+    paths are priced by {!estimate} — communication plus compute, the
+    halo exchange included on both sides; ties go to the compiled
+    path, whose results are bit-identical to the simulator.  [Auto]
+    with no compiled plans is the dense-kernel fallthrough: [`Fft]
+    instead of a resource rejection.  The caller remains responsible
+    for FFT eligibility (spatially uniform coefficients). *)
 
-(** {1 Arena-backed execution}
-
-    {!run} allocates and releases every temporary per call — the
-    faithful rendering of one Fortran statement.  A persistent engine
-    ({!Ccc_service.Engine}) instead keeps the machine resident between
-    requests; the arena below holds the standing regions (source and
-    destination subgrids, coefficient streams, the padded halo
-    temporary) so a repeated call of the same shape skips the
-    allocate/release cycle entirely and pays only data movement. *)
-
-module Arena : sig
-  type t
-  (** Standing per-node regions over one machine.  The node memories
-      are bump allocators, so the arena caches exactly one shape
-      profile (subgrid sides, border width, stream count): a matching
-      request reuses every region in place; a different profile frees
-      back to the arena's floor watermark and rebuilds. *)
-
-  val create : Ccc_cm2.Machine.t -> t
-  (** Take the floor watermark at the machine's current allocation
-      top.  Anything the caller allocates afterwards is managed by the
-      arena and released by profile changes and {!reset}. *)
-
-  val machine : t -> Ccc_cm2.Machine.t
-
-  val reuses : t -> int
-  (** Calls served from the standing regions. *)
-
-  val rebuilds : t -> int
-  (** Calls that had to (re)build the regions: the first call, and
-      every shape-profile change. *)
-
-  val reset : t -> unit
-  (** Release the standing regions back to the floor watermark. *)
-end
-
-val run_arena :
-  ?obs:Ccc_obs.Obs.t ->
-  ?mode:mode ->
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  ?pool:Pool.t ->
-  ?inner:inner ->
-  ?kernel:Kernel.t ->
-  ?tile:int * int ->
-  ?hooks:hooks ->
-  Arena.t ->
-  Ccc_compiler.Compile.t ->
-  Reference.env ->
-  result
-(** {!run} against standing arena regions: same checks, same data
-    result (bit-identical), same statistics; repeated same-shape calls
-    refill the standing regions instead of reallocating them. *)
-
-type batch = { batch_results : result list; batch_stats : Stats.t }
-(** Results of a batched run, one per statement in order, plus the
-    aggregate.  Each statement's own stats carry zero communication
-    cycles and zero per-call launch cost — those are paid once for
-    the whole batch and appear in [batch_stats] (one halo exchange,
-    one front-end call, summed compute and dispatch stalls). *)
-
-val run_batch_arena :
-  ?obs:Ccc_obs.Obs.t ->
-  ?mode:mode ->
-  ?primitive:Halo.primitive ->
-  ?pool:Pool.t ->
-  ?inner:inner ->
-  ?kernels:Kernel.t list ->
-  ?tile:int * int ->
-  Arena.t ->
-  Ccc_compiler.Compile.t list ->
-  Reference.env ->
-  batch
-(** Execute several compiled statements over the same source array
-    behind a single halo exchange — the strength-reduced host loop of
-    section 7, where the front end is "hard pressed to keep up" and
-    every statement dispatched without its own setup helps.  All
-    statements must name the same source variable and boundary
-    semantics ([Invalid_argument] otherwise); the exchange is padded
-    to the widest statement's border, and corner sections are fetched
-    if any statement needs them (sound for the others, which never
-    read corners).  [kernels], when given, must carry one pre-verified
-    kernel per statement in order. *)
-
-val estimate :
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  sub_rows:int ->
-  sub_cols:int ->
-  Ccc_cm2.Config.t ->
-  Ccc_compiler.Compile.t ->
-  Stats.t
-(** Timing without data: the statistics [run] would report for a
-    per-node subgrid of the given shape on the configured machine.
-    The benchmark harness uses this for the paper's production-size
-    rows (10^13 flops would be unreasonable to move through the
-    simulator); tests pin it to [run]'s stats on small shapes. *)
-
-(** {1 Multi-source (fused) execution}
-
-    Executes a {!Ccc_compiler.Compile.fused} compilation — the
-    future-work generalization that handles "all ten terms as one
-    stencil pattern".  One halo exchange runs per source array, each
-    padded to that source's own border width; everything downstream of
-    communication (strips, half-strips, microcode, statistics) is the
-    shared machinery. *)
-
-val run_fused :
-  ?obs:Ccc_obs.Obs.t ->
-  ?mode:mode ->
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  ?pool:Pool.t ->
-  ?inner:inner ->
-  ?tile:int * int ->
-  Ccc_cm2.Machine.t ->
-  Ccc_compiler.Compile.fused ->
-  Reference.env ->
-  result
-
-val estimate_fused :
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  sub_rows:int ->
-  sub_cols:int ->
-  Ccc_cm2.Config.t ->
-  Ccc_compiler.Compile.fused ->
-  Stats.t
-
-val reference_fused : Ccc_stencil.Multi.t -> Reference.env -> Grid.t
-(** Direct evaluation of a multi-source pattern: the oracle for
-    [run_fused]. *)
+(** {1 Debugging and oracles} *)
 
 val trace :
   ?width:int ->
@@ -361,18 +337,6 @@ val trace :
     the paper's authors "tested the microcode loops thoroughly" in
     exactly this style under the Lisp prototype's debugger. *)
 
-val attribute :
-  ?primitive:Halo.primitive ->
-  sub_rows:int ->
-  sub_cols:int ->
-  Ccc_cm2.Config.t ->
-  Ccc_compiler.Compile.t ->
-  Ccc_obs.Profiler.breakdown
-(** Per-phase cycle attribution for one statement on a per-node
-    subgrid of the given shape: the same strips and half-strips
-    {!estimate} prices, with the compute share opened up into the nine
-    microcode phases of {!Ccc_obs.Profiler}.  The breakdown's compute
-    total equals {!estimate}'s [compute_cycles] (and therefore the
-    interpreter's cycle count) instruction-for-instruction — the
-    paper's Table-1 split as live telemetry.  Raises {!Too_small} like
-    {!estimate}. *)
+val reference_fused : Ccc_stencil.Multi.t -> Reference.env -> Grid.t
+(** Direct evaluation of a multi-source pattern: the oracle for fused
+    statements. *)

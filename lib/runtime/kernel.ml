@@ -20,20 +20,7 @@ type t = {
 let ntaps t = Array.length t.srcs
 let nstreams t = ntaps t + if t.has_bias then 1 else 0
 
-let lower pattern =
-  let taps = Pattern.taps pattern in
-  let n = List.length taps in
-  let srcs = Array.make n 0
-  and drows = Array.make n 0
-  and dcols = Array.make n 0 in
-  List.iteri
-    (fun i (tap : Tap.t) ->
-      drows.(i) <- tap.Tap.offset.Offset.drow;
-      dcols.(i) <- tap.Tap.offset.Offset.dcol)
-    taps;
-  { srcs; drows; dcols; has_bias = Pattern.bias pattern <> None }
-
-let lower_multi multi =
+let lower multi =
   let taps = Multi.taps multi in
   let n = List.length taps in
   let srcs = Array.make n 0
@@ -384,7 +371,7 @@ let verify (config : Config.t) (compiled : Compile.t) t =
     kernel_out
 
 let build config compiled =
-  let t = lower compiled.Compile.pattern in
+  let t = lower (Multi.of_pattern compiled.Compile.pattern) in
   verify config compiled t;
   t
 

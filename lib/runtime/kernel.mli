@@ -35,13 +35,11 @@ type t
 (** A lowered kernel: geometry-independent per-tap displacement
     tables in pattern (= coefficient stream) order. *)
 
-val lower : Ccc_stencil.Pattern.t -> t
-(** Flatten a single-source pattern.  Unverified — the cheap path for
-    one-shot runs; {!build} is the verifying path the engine uses. *)
-
-val lower_multi : Ccc_stencil.Multi.t -> t
-(** Flatten a multi-source pattern (tap [i] reads the padded temporary
-    of its own source). *)
+val lower : Ccc_stencil.Multi.t -> t
+(** Flatten a pattern, single-source ({!Ccc_stencil.Multi.of_pattern})
+    or multi-source (tap [i] reads the padded temporary of its own
+    source).  Unverified — the cheap path for one-shot runs; {!build}
+    is the verifying path the engine uses. *)
 
 val ntaps : t -> int
 

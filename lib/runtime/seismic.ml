@@ -96,5 +96,7 @@ let simulate ?(version = Rolled) ?(mode = Exec.Fast) ~steps ~c10 machine env
 
 let estimate ?(version = Rolled) ~sub_rows ~sub_cols ~steps config =
   let compiled = compile_kernel config in
-  let stencil_stats = Exec.estimate ~sub_rows ~sub_cols config compiled in
+  let stencil_stats =
+    Exec.estimate ~sub_rows ~sub_cols config [ Exec.compiled compiled ]
+  in
   aggregate_stats ~steps ~version config stencil_stats ~sub_rows ~sub_cols

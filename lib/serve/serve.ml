@@ -215,10 +215,6 @@ let finish t (j : job) (r : response) =
 (* ------------------------------------------------------------------ *)
 (* Window execution (no scheduler lock held).                          *)
 
-let guarded engine (j : job) env =
-  Engine.outcome_of_guarded ~fingerprint:j.fp
-    (Engine.run_guarded engine j.pattern env)
-
 (* Serve one dispatch window: re-check deadlines, group jobs that can
    share an execution (same physical env, source variable, boundary),
    collapse structurally equal patterns into one run, and execute each
@@ -298,7 +294,7 @@ let execute t engine s w jobs =
             "serve.execute"
           @@ fun () ->
           match classes with
-          | [ (rep, _) ] -> [ (guarded engine rep env, 1) ]
+          | [ (rep, _) ] -> [ (Engine.run_guarded engine rep.pattern env, 1) ]
           | _ -> (
               let patterns = List.map (fun (rep, _) -> rep.pattern) classes in
               match Engine.run_batch engine patterns env with
@@ -312,7 +308,10 @@ let execute t engine s w jobs =
                       m "shard %d window %d: batch of %d fell back: %s" s w
                         nclasses
                         (Outcome.reject_to_string e));
-                  List.map (fun (rep, _) -> (guarded engine rep env, 1)) classes)
+                  List.map
+                    (fun (rep, _) ->
+                      (Engine.run_guarded engine rep.pattern env, 1))
+                    classes)
         in
         let done_us = t.clock () in
         List.concat
@@ -495,7 +494,6 @@ let create ?obs ?(settings = Engine.default_settings) ?(shards = 2)
   t
 
 let shards t = t.nshards
-let settings_of t = t.settings
 let key_of t pattern = Fingerprint.key t.config pattern
 
 let pause t =

@@ -77,9 +77,6 @@ val create :
 
 val shards : t -> int
 
-val settings_of : t -> Ccc_service.Engine.settings
-(** The engine/admission settings every shard was built from. *)
-
 val key_of : t -> Ccc_stencil.Pattern.t -> string
 (** The {!Ccc_service.Fingerprint.key} under which this service
     catalogs [pattern] — what a client passes back as

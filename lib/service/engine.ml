@@ -23,15 +23,6 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type error = Outcome.reject =
-  | Parse_error of string
-  | Rejected of Ccc_frontend.Diagnostics.t list
-  | Resource_error of (int * Ccc_analysis.Finding.t) list
-  | Too_small of string
-  | Invalid_batch of string
-
-let error_to_string = Outcome.reject_to_string
-
 (* The cached kernel is verified once at miss time (against the
    reference evaluator and the cycle-accurate interpreter) and then
    reused verbatim across rebind hits: rebinding retargets coefficient
@@ -61,12 +52,6 @@ type settings = {
   memory_words : int option;
   queue_depth : int;
   tenants : int;
-  tile : (int * int) option;
-      (* kernel tile geometry forwarded to every Exec call; [None]
-         defers to the machine config's calibrated default *)
-  backend : Exec.backend;
-      (* Auto picks compiled vs transform per request by predicted
-         cycles; Force_* pins one path for ablation runs *)
   widths : int list option;
       (* multistencil widths offered to the compiler; [None] defers to
          [Compile.candidate_widths] *)
@@ -79,8 +64,6 @@ let default_settings =
     memory_words = None;
     queue_depth = 64;
     tenants = 16;
-    tile = None;
-    backend = Exec.Auto;
     widths = None;
   }
 
@@ -153,18 +136,7 @@ type stats = {
 (* One id per engine in the process (see the [eid] field). *)
 let engine_ids = Atomic.make 0
 
-let create ?obs ?flight ?capacity ?jobs ?memory_words ?settings config =
-  let settings =
-    match settings with
-    | Some s -> s
-    | None ->
-        {
-          default_settings with
-          capacity = Option.value capacity ~default:default_settings.capacity;
-          jobs = Option.value jobs ~default:default_settings.jobs;
-          memory_words;
-        }
-  in
+let create ?obs ?flight ?(settings = default_settings) config =
   if settings.capacity < 1 then invalid_arg "Engine.create: capacity < 1";
   if settings.queue_depth < 1 then invalid_arg "Engine.create: queue_depth < 1";
   if settings.tenants < 1 then invalid_arg "Engine.create: tenants < 1";
@@ -228,7 +200,6 @@ let check_owner t who =
          ])
 
 let config t = t.config
-let settings_of t = t.settings
 let machine t = t.machine
 let obs t = t.obs
 let metrics t = t.obs.Obs.metrics
@@ -330,9 +301,8 @@ let evict_lru t =
    rejection with its per-width findings — the latter so a dense
    stencil that falls through to the transform path pays the scheduler
    exactly once, then hits like any other plan. *)
-let lookup_entry t pattern =
+let lookup_entry t ~fp pattern =
   Access.set_phase "compile";
-  let fp = Fingerprint.pattern pattern in
   let key = fp ^ "|" ^ t.config_fp in
   match Hashtbl.find_opt t.cache key with
   | Some entry ->
@@ -374,24 +344,29 @@ let lookup_entry t pattern =
    scheduling, and the verified kernel carries over unchanged (it
    depends only on tap geometry and stream count, which the
    fingerprint pins). *)
-let compile_entry t pattern =
-  let entry = lookup_entry t pattern in
+let rebound entry pattern =
   match entry.compiled with
-  | Ok (compiled, kernel) -> Ok (Compile.rebind compiled pattern, kernel)
-  | Error rejections -> Error (Resource_error rejections)
+  | Ok (compiled, kernel) -> Some (Compile.rebind compiled pattern, kernel)
+  | Error _ -> None
+
+let rejections_of entry =
+  match entry.compiled with Error r -> r | Ok _ -> []
 
 let compile t pattern =
   check_owner t "compile";
-  Result.map fst (compile_entry t pattern)
+  let entry = lookup_entry t ~fp:(Fingerprint.pattern pattern) pattern in
+  match rebound entry pattern with
+  | Some (compiled, _) -> Ok compiled
+  | None -> Error (Outcome.Resource_error (rejections_of entry))
 
 let recognize_statement source =
   match Ccc_frontend.Parser.parse_statement source with
   | stmt -> (
       match Ccc_frontend.Recognize.statement stmt with
       | Ok pattern -> Ok pattern
-      | Error diags -> Error (Rejected diags))
+      | Error diags -> Error (Outcome.Rejected diags))
   | exception Ccc_frontend.Parser.Error { line; message } ->
-      Error (Parse_error (Printf.sprintf "line %d: %s" line message))
+      Error (Outcome.Parse_error (Printf.sprintf "line %d: %s" line message))
 
 let compile_statement t source =
   match recognize_statement source with
@@ -405,31 +380,9 @@ let record (t : t) (s : Stats.t) =
   Metrics.Histogram.observe t.per_call_compute
     (float_of_int s.Stats.compute_cycles)
 
-let warn_rejection pattern e =
+let warn_rejection fp e =
   Log.warn (fun m ->
-      m "stencil %s rejected: %s" (Fingerprint.pattern pattern)
-        (error_to_string e))
-
-(* Global grid shape of the request, read off the bound source array
-   (raises [Reference.Unbound] like the execution paths themselves). *)
-let grid_shape pattern env =
-  let src = Reference.lookup env (Pattern.source_var pattern) in
-  (Grid.rows src, Grid.cols src)
-
-(* Pick the execution path for this request: the settings' pinned
-   backend, or — under [Auto] — whichever of the compiled and
-   transform cycle models predicts fewer cycles for this shape
-   (ties to compiled; a rejected stencil falls through to the
-   transform).  Pure and deterministic given (settings, config,
-   shape, compilation result). *)
-let select (t : t) entry ~rows ~cols =
-  let sub_rows = rows / t.config.Config.node_rows
-  and sub_cols = cols / t.config.Config.node_cols in
-  let compiled =
-    match entry.compiled with Ok (c, _) -> Some c | Error _ -> None
-  in
-  Exec.select_backend ~backend:t.settings.backend ~sub_rows ~sub_cols t.config
-    compiled
+      m "stencil %s rejected: %s" fp (Outcome.reject_to_string e))
 
 (* The entry's standing transform plan, resolved for this request:
    reuse when the shape and array names match (re-transforming only
@@ -452,295 +405,248 @@ let fft_plan_for (t : t) entry pattern ~rows ~cols env =
       Access.write "engine.cache" t.eid;
       plan
 
-let record_fft (t : t) (result : Exec.result) =
-  Metrics.Counter.incr t.runs;
-  Metrics.Counter.incr t.fft_runs;
-  record t result.Exec.stats;
-  Metrics.Histogram.observe t.fft_per_call
-    (float_of_int result.Exec.stats.Stats.compute_cycles)
+(* The backend a resolved request runs on. *)
+type backend = On_compiled of Compile.t * Kernel.t | On_fft of Fft.plan
 
-let rejections_of entry =
-  match entry.compiled with Error r -> r | Ok _ -> []
+type resolved = {
+  fp : string;
+  entry : entry;
+  backend : backend;
+  prior : Finding.t list;
+      (* a fresh transform plan that failed its sandbox proof, when the
+         request fell back to its compiled plan *)
+}
+
+(* The resolve step every request takes before the driver: check the
+   input, look up the cache, rebind, choose the backend and get the
+   kernel or the plan.  Every input error — an unbound array, a
+   mis-shaped array, a grid that does not divide over the node grid, a
+   border wider than the subgrid — is refused here, before the cache
+   is touched, so neither the driver nor the guard ladder ever sees
+   one.  [fft] (false for batches, which are always compiled) admits
+   the transform path: under it the planner prices both backends
+   (ties to compiled; a stencil the compiler rejects falls through to
+   the transform), and a pattern with spatially-varying coefficients —
+   not a convolution — is served by its compiled plan when one exists.
+   Raises [Finding.Failed] when a fresh transform plan fails its proof
+   and there is no compiled plan to fall back on. *)
+let resolve (t : t) ~fft pattern env =
+  let fp = Fingerprint.pattern pattern in
+  let refuse e =
+    warn_rejection fp e;
+    Error (fp, e)
+  in
+  match
+    Outcome.checked (fun () ->
+        Exec.check t.config [ Ccc_stencil.Multi.of_pattern pattern ] env)
+  with
+  | Error e -> refuse e
+  | Ok (sub_rows, sub_cols) -> (
+      let entry = lookup_entry t ~fp pattern in
+      let compiled = rebound entry pattern in
+      let on_compiled prior =
+        match compiled with
+        | Some (c, k) -> Ok { fp; entry; backend = On_compiled (c, k); prior }
+        | None -> refuse (Outcome.Resource_error (rejections_of entry))
+      in
+      let choice =
+        if fft then
+          Exec.select_backend ~sub_rows ~sub_cols t.config
+            (Option.map fst compiled)
+        else `Compiled
+      in
+      match choice with
+      | `Compiled -> on_compiled []
+      | `Fft -> (
+          match
+            fft_plan_for t entry pattern
+              ~rows:(sub_rows * t.config.Config.node_rows)
+              ~cols:(sub_cols * t.config.Config.node_cols)
+              env
+          with
+          | plan -> Ok { fp; entry; backend = On_fft plan; prior = [] }
+          | exception Fft.Varying _ -> on_compiled []
+          | exception (Finding.Failed fs as failed) ->
+              if Option.is_none compiled then raise failed else on_compiled fs))
+
+let statement pattern = function
+  | On_compiled (c, k) -> Exec.compiled ~kernel:k c
+  | On_fft plan -> Exec.transform ~plan pattern
+
+(* Compiled statements run on the standing arena; the transform runs on
+   a transient arena above it, so the arena counters count compiled
+   reuse only. *)
+let execute ?mode ?iterations ?hooks (t : t) pattern backend env =
+  let arena =
+    match backend with
+    | On_compiled _ -> t.arena
+    | On_fft _ -> Exec.Arena.transient t.machine
+  in
+  Exec.single
+    (Exec.exec ~obs:t.obs ?mode ?iterations ~pool:t.pool ?hooks arena
+       [ statement pattern backend ] env)
+
+let record_run (t : t) backend (result : Exec.result) =
+  Metrics.Counter.incr t.runs;
+  record t result.Exec.stats;
+  match backend with
+  | On_compiled _ -> ()
+  | On_fft _ ->
+      Metrics.Counter.incr t.fft_runs;
+      Metrics.Histogram.observe t.fft_per_call
+        (float_of_int result.Exec.stats.Stats.compute_cycles)
 
 let run ?mode ?iterations t pattern env =
   check_owner t "run";
-  let entry = lookup_entry t pattern in
-  let run_compiled (compiled, kernel) =
-    match
-      Exec.run_arena ~obs:t.obs ?mode ?iterations ~pool:t.pool ~kernel
-        ?tile:t.settings.tile t.arena compiled env
-    with
-    | result ->
-        Metrics.Counter.incr t.runs;
-        record t result.Exec.stats;
-        Ok result
-    | exception Exec.Too_small m ->
-        let e = Too_small m in
-        warn_rejection pattern e;
-        Error e
-  in
-  let compiled =
-    match entry.compiled with
-    | Ok (c, k) -> Some (Compile.rebind c pattern, k)
-    | Error _ -> None
-  in
-  let rows, cols = grid_shape pattern env in
-  match select t entry ~rows ~cols with
-  | `Compiled -> (
-      match compiled with
-      | Some ck -> run_compiled ck
-      | None ->
-          let e = Resource_error (rejections_of entry) in
-          warn_rejection pattern e;
-          Error e)
-  | `Fft -> (
-      match fft_plan_for t entry pattern ~rows ~cols env with
-      | plan -> (
-          match
-            Exec.run_fft ~obs:t.obs ?iterations ~pool:t.pool ~plan t.machine
-              pattern env
-          with
-          | result ->
-              record_fft t result;
-              Ok result
-          | exception Exec.Too_small m ->
-              let e = Too_small m in
-              warn_rejection pattern e;
-              Error e)
-      | exception Fft.Varying _ -> (
-          (* Spatially-varying coefficients are not a convolution: the
-             transform path refuses them, so serve the compiled plan
-             when one exists and report the rejection otherwise. *)
-          match compiled with
-          | Some ck -> run_compiled ck
-          | None ->
-              let e = Resource_error (rejections_of entry) in
-              warn_rejection pattern e;
-              Error e))
+  match resolve t ~fft:true pattern env with
+  | Error (_, e) -> Error e
+  | Ok r ->
+      let result = execute ?mode ?iterations t pattern r.backend env in
+      record_run t r.backend result;
+      Ok result
 
 let run_statement ?mode ?iterations t source env =
   match recognize_statement source with
   | Ok pattern -> run ?mode ?iterations t pattern env
   | Error _ as e -> e
 
-type degraded = Outcome.degraded = {
-  output : Ccc_runtime.Grid.t;
-  findings : Finding.t list;
-  retries : int;
-  recompiled : bool;
-}
-
-type outcome = Completed of Exec.result | Degraded of degraded
-
-let outcome_of_guarded ~fingerprint = function
-  | Ok (Completed result) -> Outcome.completed ~fingerprint result
-  | Ok (Degraded detail) -> Outcome.degraded ~fingerprint detail
-  | Error reject -> Outcome.refused ~fingerprint reject
-
-(* The recovery ladder: guarded run -> bounded same-kernel retries
+(* The recovery ladder: guarded run -> bounded same-artifact retries
    (a transient fault leaves nothing behind, so a re-run of the same
-   cached artifacts comes back clean) -> revalidate and recompile the
-   cached plan and kernel (a poisoned cache entry fails its sandbox
-   re-proof and is replaced) -> degrade to the host reference
-   evaluator, which shares nothing with the simulated substrate.  The
-   ladder never lets a detected fault escape as a wrong answer or a
-   crash: the worst case is a slow, correct [Degraded] result. *)
+   cached kernel or plan comes back clean) -> diagnose and rebuild the
+   cached artifact (a poisoned entry fails its sandbox re-proof and is
+   replaced) -> degrade to the host reference evaluator, which shares
+   nothing with the simulated substrate.  Only the diagnose-and-rebuild
+   rung depends on the backend.  The ladder never lets a detected fault
+   escape as a wrong answer or a crash: the worst case is a slow,
+   correct [Degraded] outcome. *)
 let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
     t pattern env =
   check_owner t "run_guarded";
-  let entry = lookup_entry t pattern in
-  let compiled_pair =
-    match entry.compiled with
-    | Ok (c, k) -> Some (Compile.rebind c pattern, k)
-    | Error _ -> None
-  in
   let retries = ref 0 in
-  let note_detection fs =
+  let note_detection fp fs =
     Metrics.Counter.incr t.guard_detections;
     let first_finding =
       match fs with f :: _ -> Finding.to_string f | [] -> "unknown"
     in
     Option.iter
       (fun ring ->
-        Flight.record ring Flight.Guard_trip
-          (Fingerprint.pattern pattern ^ ": " ^ first_finding))
+        Flight.record ring Flight.Guard_trip (fp ^ ": " ^ first_finding))
       t.flight;
-    Log.warn (fun m ->
-        m "guard detected a fault (%s): %s" (Fingerprint.pattern pattern)
-          first_finding)
+    Log.warn (fun m -> m "guard detected a fault (%s): %s" fp first_finding)
   in
-  let degrade findings recompiled =
+  let degrade fp findings recompiled =
     Metrics.Counter.incr t.guard_degraded;
     Option.iter
       (fun ring ->
         Flight.record ring Flight.Degraded
-          (Printf.sprintf "%s: reference path after %d retries"
-             (Fingerprint.pattern pattern) !retries))
+          (Printf.sprintf "%s: reference path after %d retries" fp !retries))
       t.flight;
     Log.warn (fun m ->
-        m "degrading %s to the reference path after %d retries"
-          (Fingerprint.pattern pattern) !retries);
+        m "degrading %s to the reference path after %d retries" fp !retries);
     let output = Reference.apply pattern env in
-    Ok (Degraded { output; findings; retries = !retries; recompiled })
+    Outcome.degraded ~fingerprint:fp
+      { output; findings; retries = !retries; recompiled }
   in
-  let guarded run_path =
+  let attempt backend =
     let watch = Guard.watch pattern in
     let hooks = Exec.compose_hooks inject watch.Guard.hooks in
-    match run_path hooks with
+    match execute ?mode ?iterations ~hooks t pattern backend env with
     | result -> (
         match
           !(watch.Guard.caught) @ Guard.check_output pattern env result.Exec.output
         with
-        | [] -> `Ok result
-        | fs -> `Faulty fs)
-    | exception Exec.Too_small m -> `Too_small m
-    | exception Finding.Failed fs -> `Faulty fs
+        | [] -> Ok result
+        | fs -> Error fs)
+    | exception Finding.Failed fs -> Error fs
     | exception exn ->
-        `Faulty
+        Error
           [
             Finding.makef Finding.Output_integrity "guarded run crashed: %s"
               (Printexc.to_string exn);
           ]
   in
-  let attempt compiled kernel =
-    guarded (fun hooks ->
-        Exec.run_arena ~obs:t.obs ?mode ?iterations ~pool:t.pool ~kernel
-          ?tile:t.settings.tile ~hooks t.arena compiled env)
+  (* The backend-specific rung: root-cause the cached artifact, then
+     replace it.  Compiled: the sandbox re-proof of the kernel and the
+     dataflow verifier over every cached plan, then a from-scratch
+     recompile replacing the cache entry.  Transform: {!Fft.verify}
+     over the cached spectrum, then a fresh {!Fft.build}. *)
+  let rebuild (r : resolved) = function
+    | On_compiled (compiled, kernel) -> (
+        let diagnosis =
+          Guard.check_kernel t.config compiled kernel
+          @ Guard.revalidate t.config compiled
+        in
+        Metrics.Counter.incr t.kernel_verifies;
+        Metrics.Counter.incr t.guard_recompiles;
+        match
+          Compile.compile ~obs:t.obs ?widths:t.settings.widths t.config pattern
+        with
+        | Error _ -> Error diagnosis
+        | Ok fresh ->
+            Metrics.Counter.incr t.compiles;
+            let fresh_kernel = Kernel.build t.config fresh in
+            Metrics.Counter.incr t.kernel_verifies;
+            t.tick <- t.tick + 1;
+            Access.write "engine.tick" t.eid;
+            Hashtbl.replace t.cache
+              (r.fp ^ "|" ^ t.config_fp)
+              {
+                compiled = Ok (fresh, fresh_kernel);
+                fft = r.entry.fft;
+                last_used = t.tick;
+              };
+            Access.write "engine.cache" t.eid;
+            Ok (On_compiled (fresh, fresh_kernel), diagnosis))
+    | On_fft plan -> (
+        let diagnosis =
+          match Fft.verify pattern plan with
+          | () -> []
+          | exception Finding.Failed fs -> fs
+        in
+        Metrics.Counter.incr t.guard_recompiles;
+        match
+          Fft.build pattern ~rows:(Fft.rows plan) ~cols:(Fft.cols plan) env
+        with
+        | fresh ->
+            Metrics.Counter.incr t.fft_builds;
+            r.entry.fft <- Some (Reference.referenced_arrays pattern, fresh);
+            Access.write "engine.cache" t.eid;
+            Ok (On_fft fresh, diagnosis)
+        | exception Finding.Failed fs -> Error (diagnosis @ fs))
   in
-  let rec ladder compiled kernel budget acc recompiled =
-    match attempt compiled kernel with
-    | `Ok result ->
-        Metrics.Counter.incr t.runs;
-        record t result.Exec.stats;
-        Ok (Completed result)
-    | `Too_small m ->
-        let e = Too_small m in
-        warn_rejection pattern e;
-        Error e
-    | `Faulty fs -> (
-        note_detection fs;
+  let rec ladder r backend budget acc rebuilt =
+    match attempt backend with
+    | Ok result ->
+        record_run t backend result;
+        Outcome.completed ~fingerprint:r.fp result
+    | Error fs ->
+        note_detection r.fp fs;
         let acc = acc @ fs in
         if budget > 0 then begin
           Metrics.Counter.incr t.guard_retries;
           incr retries;
-          ladder compiled kernel (budget - 1) acc recompiled
+          ladder r backend (budget - 1) acc rebuilt
         end
-        else if not recompiled then begin
-          (* Root-cause the cached artifacts before replacing
-             them: the sandbox re-proof of the kernel and the
-             dataflow verifier over every cached plan. *)
-          let diagnosis =
-            Guard.check_kernel t.config compiled kernel
-            @ Guard.revalidate t.config compiled
-          in
-          Metrics.Counter.incr t.kernel_verifies;
-          Metrics.Counter.incr t.guard_recompiles;
-          match
-            Compile.compile ~obs:t.obs ?widths:t.settings.widths t.config
-              pattern
-          with
-          | Error _ -> degrade (acc @ diagnosis) recompiled
-          | Ok fresh ->
-              Metrics.Counter.incr t.compiles;
-              let fresh_kernel = Kernel.build t.config fresh in
-              Metrics.Counter.incr t.kernel_verifies;
-              let key = Fingerprint.pattern pattern ^ "|" ^ t.config_fp in
-              t.tick <- t.tick + 1;
-              Access.write "engine.tick" t.eid;
-              Hashtbl.replace t.cache key
-                {
-                  compiled = Ok (fresh, fresh_kernel);
-                  fft = entry.fft;
-                  last_used = t.tick;
-                };
-              Access.write "engine.cache" t.eid;
-              ladder fresh fresh_kernel 0 (acc @ diagnosis) true
-        end
-        else degrade acc recompiled)
+        else if not rebuilt then
+          match rebuild r backend with
+          | Ok (fresh, diagnosis) -> ladder r fresh 0 (acc @ diagnosis) true
+          | Error diagnosis -> degrade r.fp (acc @ diagnosis) rebuilt
+        else degrade r.fp acc rebuilt
   in
-  (* The transform-path ladder mirrors the compiled one rung for rung:
-     bounded same-plan retries, then {!Fft.verify} as the root-cause
-     re-proof of the cached spectrum with a fresh {!Fft.build}
-     replacing it, and finally the same degradation to the host
-     reference evaluator. *)
-  let attempt_fft plan =
-    guarded (fun hooks ->
-        Exec.run_fft ~obs:t.obs ?iterations ~pool:t.pool ~plan ~hooks
-          t.machine pattern env)
-  in
-  let rec fft_ladder ~rows ~cols plan budget acc rebuilt =
-    match attempt_fft plan with
-    | `Ok result ->
-        record_fft t result;
-        Ok (Completed result)
-    | `Too_small m ->
-        let e = Too_small m in
-        warn_rejection pattern e;
-        Error e
-    | `Faulty fs -> (
-        note_detection fs;
-        let acc = acc @ fs in
-        if budget > 0 then begin
-          Metrics.Counter.incr t.guard_retries;
-          incr retries;
-          fft_ladder ~rows ~cols plan (budget - 1) acc rebuilt
-        end
-        else if not rebuilt then begin
-          let diagnosis =
-            match Fft.verify pattern plan with
-            | () -> []
-            | exception Finding.Failed fs -> fs
-          in
-          Metrics.Counter.incr t.guard_recompiles;
-          match Fft.build pattern ~rows ~cols env with
-          | fresh ->
-              Metrics.Counter.incr t.fft_builds;
-              entry.fft <- Some (Reference.referenced_arrays pattern, fresh);
-              Access.write "engine.cache" t.eid;
-              fft_ladder ~rows ~cols fresh 0 (acc @ diagnosis) true
-          | exception Finding.Failed fs2 ->
-              degrade (acc @ diagnosis @ fs2) rebuilt
-        end
-        else degrade acc rebuilt)
-  in
-  let dispatch () =
-    let rows, cols = grid_shape pattern env in
-    match select t entry ~rows ~cols with
-    | `Compiled -> (
-        match compiled_pair with
-        | Some (c, k) -> ladder c k max_retries [] false
-        | None ->
-            let e = Resource_error (rejections_of entry) in
-            warn_rejection pattern e;
-            Error e)
-    | `Fft -> (
-        match fft_plan_for t entry pattern ~rows ~cols env with
-        | plan -> fft_ladder ~rows ~cols plan max_retries [] false
-        | exception Fft.Varying _ -> (
-            match compiled_pair with
-            | Some (c, k) -> ladder c k max_retries [] false
-            | None ->
-                let e = Resource_error (rejections_of entry) in
-                warn_rejection pattern e;
-                Error e)
-        | exception Finding.Failed fs ->
-            (* The fresh plan failed its own sandbox proof: fall back
-               to the compiled plan when one exists, else the guarded
-               contract still holds — degrade, never crash. *)
-            (match compiled_pair with
-            | Some (c, k) -> ladder c k max_retries fs false
-            | None ->
-                Metrics.Counter.incr t.guard_detections;
-                degrade fs false))
-  in
-  match dispatch () with
-  | exception Reference.Unbound name ->
-      Error (Parse_error (Printf.sprintf "unbound array %s" name))
-  | r -> r
+  match resolve t ~fft:true pattern env with
+  | Error (fp, e) -> Outcome.refused ~fingerprint:fp e
+  | Ok r -> ladder r r.backend max_retries r.prior false
+  | exception Finding.Failed fs ->
+      (* The fresh transform plan failed its own sandbox proof and no
+         compiled plan exists: the guarded contract still holds —
+         degrade, never crash. *)
+      let fp = Fingerprint.pattern pattern in
+      Metrics.Counter.incr t.guard_detections;
+      degrade fp fs false
 
 let check_batch patterns =
   match patterns with
-  | [] -> Error (Invalid_batch "a batch needs at least one statement")
+  | [] -> Error (Outcome.Invalid_batch "a batch needs at least one statement")
   | first :: rest ->
       let source_var = Pattern.source_var first in
       let boundary = Pattern.boundary first in
@@ -749,14 +655,14 @@ let check_batch patterns =
         | p :: rest ->
             if Pattern.source_var p <> source_var then
               Error
-                (Invalid_batch
+                (Outcome.Invalid_batch
                    (Printf.sprintf
                       "statements read %s and %s; a batch shares one source \
                        array behind one halo exchange"
                       source_var (Pattern.source_var p)))
             else if not (Boundary.equal (Pattern.boundary p) boundary) then
               Error
-                (Invalid_batch
+                (Outcome.Invalid_batch
                    "statements mix boundary semantics; a batch shares one \
                     halo exchange")
             else check rest
@@ -768,34 +674,26 @@ let run_batch ?mode t patterns env =
   match check_batch patterns with
   | Error e ->
       (match patterns with
-      | p :: _ -> warn_rejection p e
+      | p :: _ -> warn_rejection (Fingerprint.pattern p) e
       | [] -> Log.warn (fun m -> m "empty batch rejected"));
       Error e
   | Ok () -> (
-      let rec compile_all acc = function
+      let rec resolve_all acc = function
         | [] -> Ok (List.rev acc)
         | p :: rest -> (
-            match compile_entry t p with
-            | Ok pair -> compile_all (pair :: acc) rest
-            | Error _ as e -> e)
+            match resolve t ~fft:false p env with
+            | Ok r -> resolve_all (statement p r.backend :: acc) rest
+            | Error (_, e) -> Error e)
       in
-      match compile_all [] patterns with
+      match resolve_all [] patterns with
       | Error _ as e -> e
-      | Ok pairs -> (
-          let compileds = List.map fst pairs in
-          let kernels = List.map snd pairs in
-          match
-            Exec.run_batch_arena ~obs:t.obs ?mode ~pool:t.pool ~kernels
-              ?tile:t.settings.tile t.arena compileds env
-          with
-          | batch ->
-              Metrics.Counter.incr t.batches;
-              record t batch.Exec.batch_stats;
-              Ok batch
-          | exception Exec.Too_small m ->
-              let e = Too_small m in
-              warn_rejection (List.hd patterns) e;
-              Error e))
+      | Ok statements ->
+          let batch =
+            Exec.exec ~obs:t.obs ?mode ~pool:t.pool t.arena statements env
+          in
+          Metrics.Counter.incr t.batches;
+          record t batch.Exec.batch_stats;
+          Ok batch)
 
 let run_batch_statements ?mode t sources env =
   let rec recognize_all acc = function

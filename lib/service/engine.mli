@@ -20,35 +20,16 @@
       source array behind a single halo exchange and a single
       front-end launch — the strength-reduced host loop of section 7.
 
-    All entry points return [result] values; in particular a too-small
-    array surfaces as [Error (Too_small _)], never as an escaping
-    exception. *)
+    Every request passes one resolve step before the driver
+    ({!Ccc_runtime.Exec.exec}) runs it: the input is checked, the
+    cache looked up, the plans rebound to the request's names, the
+    backend chosen and the kernel or transform plan fetched.  Input
+    errors are refused there as {!Outcome.reject} values, never as
+    escaping exceptions: an unbound or mis-shaped array, and a grid
+    that does not divide over the node grid, as [Parse_error]; a
+    border wider than the per-node subgrid as [Too_small]. *)
 
 type t
-
-(** {1 Errors}
-
-    Deprecated alias: since PR 7 the one definition of the rejection
-    shape is {!Outcome.reject}, shared by [Ccc.error], this alias and
-    the serve scheduler.  Kept so existing callers (and their pattern
-    matches) migrate in place. *)
-
-type error = Outcome.reject =
-  | Parse_error of string
-  | Rejected of Ccc_frontend.Diagnostics.t list
-      (** the statement does not fit the stylized stencil form *)
-  | Resource_error of (int * Ccc_analysis.Finding.t) list
-      (** no multistencil width fits registers or scratch memory: the
-          per-width rejection findings, widest first (the structured
-          section-6 feedback) *)
-  | Too_small of string
-      (** the subgrid cannot accommodate the stencil's border *)
-  | Invalid_batch of string
-      (** the batch statements do not share a source array and
-          boundary semantics *)
-
-val error_to_string : error -> string
-(** Deprecated alias of {!Outcome.reject_to_string}. *)
 
 (** {1 Engine lifecycle} *)
 
@@ -63,28 +44,13 @@ type settings = {
           scheduler above this engine (default 64) *)
   tenants : int;
       (** serving: distinct tenants the scheduler admits (default 16) *)
-  tile : (int * int) option;
-      (** kernel tile geometry ((rows, cols) per tile) forwarded to
-          every run of this engine; [None] (the default) defers to
-          {!Ccc_cm2.Config.t}[.tile].  Purely a host-side execution
-          parameter: results are bit-identical at every geometry. *)
-  backend : Ccc_runtime.Exec.backend;
-      (** execution-path policy for {!run} and {!run_guarded}
-          (default [Auto]): [Auto] picks compiled vs transform per
-          request by predicted cycles
-          ({!Ccc_runtime.Exec.select_backend}), with a stencil the
-          compiler rejects falling through to the transform path
-          instead of [Resource_error]; [Force_compiled] and
-          [Force_fft] pin one path for ablation runs.  Batches are
-          always compiled: the shared-halo-exchange contract of
-          {!run_batch} has no transform analogue. *)
   widths : int list option;
       (** multistencil widths offered to the compiler; [None] (the
           default) defers to
           {!Ccc_compiler.Compile.candidate_widths}.  Restricting to
           [[8]] reproduces the paper's section-6 rejections (cross9,
-          diamond13) inside a serving engine, where [Auto] then
-          serves them from the transform path. *)
+          diamond13) inside a serving engine, which then serves them
+          from the transform path. *)
 }
 
 val default_settings : settings
@@ -92,9 +58,6 @@ val default_settings : settings
 val create :
   ?obs:Ccc_obs.Obs.t ->
   ?flight:Ccc_obs.Flight.t ->
-  ?capacity:int ->
-  ?jobs:int ->
-  ?memory_words:int ->
   ?settings:settings ->
   Ccc_cm2.Config.t ->
   t
@@ -105,9 +68,7 @@ val create :
     of every run — outputs and statistics are bit-identical for every
     jobs value.  Configuration arrives as the labeled [settings]
     record ({!default_settings} with [{ default_settings with ... }]
-    overrides); the positional [?capacity]/[?jobs]/[?memory_words]
-    optionals are deprecated spellings kept for existing callers and
-    are ignored when [settings] is passed.  [obs] supplies the
+    overrides).  [obs] supplies the
     observability context the engine threads through every compile and
     run; by default the tracer is disabled and the engine keeps a
     private metrics registry.  [flight] attaches a
@@ -117,9 +78,6 @@ val create :
     also reported on the ["ccc.engine"] {!Logs} source (debug/info),
     and every rejection is a structured warning carrying the stencil
     fingerprint. *)
-
-val settings_of : t -> settings
-(** The resolved configuration record this engine was created with. *)
 
 val config : t -> Ccc_cm2.Config.t
 val machine : t -> Ccc_cm2.Machine.t
@@ -163,7 +121,8 @@ val reset : t -> unit
 
 (** {1 Compilation through the cache} *)
 
-val compile : t -> Ccc_stencil.Pattern.t -> (Ccc_compiler.Compile.t, error) result
+val compile :
+  t -> Ccc_stencil.Pattern.t -> (Ccc_compiler.Compile.t, Outcome.reject) result
 (** Compile through the plan cache: a hit reuses the cached schedules
     verbatim (rebound to the request's coefficient names); a miss
     compiles, caches, and evicts the least recently used entry when
@@ -178,16 +137,17 @@ val compile : t -> Ccc_stencil.Pattern.t -> (Ccc_compiler.Compile.t, error) resu
     fits is remembered with its per-width findings, so this still
     returns [Error (Resource_error _)] on every call but runs the
     scheduler only once; {!run} and {!run_guarded} serve such entries
-    from the transform path under the [Auto] backend.  Each entry may
+    from the transform path.  Each entry may
     additionally hold one standing {!Ccc_runtime.Fft.plan} for the
     transform path (one shape at a time, like the arena), counted
     under [engine.fft.builds] / [engine.fft.rebinds]. *)
 
-val compile_statement : t -> string -> (Ccc_compiler.Compile.t, error) result
+val compile_statement :
+  t -> string -> (Ccc_compiler.Compile.t, Outcome.reject) result
 (** Parse and recognize one bare Fortran assignment, then {!compile}. *)
 
 val recognize_statement :
-  string -> (Ccc_stencil.Pattern.t, error) result
+  string -> (Ccc_stencil.Pattern.t, Outcome.reject) result
 (** The front half of {!compile_statement}: parse and recognize one
     bare assignment without touching any engine (pure, callable from
     any domain).  The serve scheduler resolves [Request.Text] stencils
@@ -202,19 +162,22 @@ val run :
   t ->
   Ccc_stencil.Pattern.t ->
   Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.result, error) result
-(** Compile through the cache and execute against the arena's standing
-    regions.  The backend policy in {!settings} decides the path: on
-    the compiled path the output is bit-identical to
-    {!Ccc_runtime.Exec.run} on a fresh machine, and so are the
-    statistics; on the transform path it is
-    {!Ccc_runtime.Exec.run_fft} against the engine's machine and the
-    entry's standing plan (1e-9-close to the direct paths,
-    bit-identical across [jobs]; [mode] is ignored — there is no
-    microcode to interpret).  A pattern with spatially-varying
-    coefficients is not a convolution: the transform path refuses it
-    and the engine falls back to the compiled plan when one exists,
-    [Error (Resource_error _)] otherwise. *)
+  (Ccc_runtime.Exec.result, Outcome.reject) result
+(** Resolve the request and execute it.  The planner
+    ({!Ccc_runtime.Exec.select_backend}) picks compiled or transform
+    per request by predicted cycles, and a stencil the compiler
+    rejects falls through to the transform path instead of
+    [Resource_error].  On the compiled path the statement runs
+    against the arena's standing regions, and the output and
+    statistics are bit-identical to {!Ccc_runtime.Exec.run} on a
+    fresh machine; on the transform path it runs with the entry's
+    standing plan on a transient arena above the standing one
+    (1e-9-close to the direct paths, bit-identical across [jobs];
+    [mode] is ignored — there is no microcode to interpret).  A
+    pattern with spatially-varying coefficients is not a convolution:
+    the transform path refuses it and the engine falls back to the
+    compiled plan when one exists, [Error (Resource_error _)]
+    otherwise. *)
 
 val run_statement :
   ?mode:Ccc_runtime.Exec.mode ->
@@ -222,7 +185,7 @@ val run_statement :
   t ->
   string ->
   Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.result, error) result
+  (Ccc_runtime.Exec.result, Outcome.reject) result
 
 (** {1 Guarded execution}
 
@@ -231,43 +194,21 @@ val run_statement :
     rides the {!Ccc_fault.Guard} self-checks on every run (halo
     integrity after the exchange, output against the reference
     evaluator) and climbs a recovery ladder when they fire —
-    bounded same-kernel retries (transient faults are one-shot),
-    then revalidation of the cached plan and kernel
-    ({!Ccc_fault.Guard.check_kernel}, {!Ccc_fault.Guard.revalidate})
-    with a from-scratch recompile replacing the cache entry, and
-    finally graceful degradation to the host reference path.  A
-    detected fault therefore never escapes as a wrong answer or an
+    bounded same-artifact retries (transient faults are one-shot),
+    then a diagnose-and-rebuild rung, and finally graceful degradation
+    to the host reference path.  Only the rebuild rung depends on the
+    backend: on the compiled path it revalidates the cached plan and
+    kernel ({!Ccc_fault.Guard.check_kernel},
+    {!Ccc_fault.Guard.revalidate}) and replaces the cache entry with a
+    from-scratch recompile; on the transform path it re-proves the
+    cached spectrum ({!Ccc_runtime.Fft.verify}) and replaces it with a
+    fresh {!Ccc_runtime.Fft.build} (counted under [engine.fft.builds]).
+    A detected fault therefore never escapes as a wrong answer or an
     uncaught exception: the worst case is a slow, correct
-    {!Degraded} result carrying every finding gathered on the way
-    down.  The ladder counts under [engine.guard.*] and
+    [Degraded] outcome carrying every finding gathered on the way
+    down.  Input errors never reach the ladder — the resolve step
+    refuses them first.  The ladder counts under [engine.guard.*] and
     [engine.kernel.verifies] in the metrics registry. *)
-
-type degraded = Outcome.degraded = {
-  output : Ccc_runtime.Grid.t;
-      (** the reference evaluator's result — correct by construction *)
-  findings : Ccc_analysis.Finding.t list;
-      (** every detection and diagnosis gathered on the ladder *)
-  retries : int;
-  recompiled : bool;
-}
-(** Deprecated alias of {!Outcome.degraded} (the shared definition
-    since PR 7). *)
-
-type outcome =
-  | Completed of Ccc_runtime.Exec.result
-      (** a guarded run came back clean (possibly after retries or a
-          recompile — see the [engine.guard.*] counters) *)
-  | Degraded of degraded
-      (** Deprecated shape: prefer the unified {!Outcome.t}, which
-          adds fingerprint and shed/refusal arms;
-          {!outcome_of_guarded} converts. *)
-
-val outcome_of_guarded :
-  fingerprint:string -> (outcome, error) result -> Outcome.t
-(** Fold a {!run_guarded} result into the unified {!Outcome.t}:
-    [Ok (Completed r)] to [Outcome.Completed], [Ok (Degraded d)] to
-    [Outcome.Degraded], [Error e] to [Outcome.Refused], each tagged
-    with the request's [fingerprint]. *)
 
 val run_guarded :
   ?mode:Ccc_runtime.Exec.mode ->
@@ -277,41 +218,37 @@ val run_guarded :
   t ->
   Ccc_stencil.Pattern.t ->
   Ccc_runtime.Reference.env ->
-  (outcome, error) result
-(** {!run} under the guards and the recovery ladder.  [inject]
-    (default {!Ccc_runtime.Exec.no_hooks}) is the fault-injection
-    seam — the conformance tests compose an {!Ccc_fault.Inject}
-    injector here; [max_retries] (default 2) bounds the same-kernel
-    rung of the ladder.  On a clean substrate the guarded run costs
-    one halo recomputation and one reference evaluation per call and
-    always returns [Completed].
-
-    When the backend policy routes a request to the transform path,
-    the ladder is mirrored rung for rung: bounded same-plan retries,
-    then {!Ccc_runtime.Fft.verify} as the root-cause re-proof of the
-    cached spectrum (a corrupted plan fails it and is replaced by a
-    fresh {!Ccc_runtime.Fft.build}, counted under
-    [engine.guard.recompiles] and [engine.fft.builds]), and finally
-    the same degradation to the host reference evaluator. *)
+  Outcome.t
+(** {!run} under the guards and the recovery ladder, answered as an
+    {!Outcome.t} tagged with the stencil's fingerprint: [Completed]
+    (possibly after retries or a rebuild — see the [engine.guard.*]
+    counters), [Degraded], or [Refused] for a request {!run} would
+    reject.  [inject] (default {!Ccc_runtime.Exec.no_hooks}) is the
+    fault-injection seam — the conformance tests compose an
+    {!Ccc_fault.Inject} injector here; [max_retries] (default 2)
+    bounds the same-artifact rung of the ladder.  On a clean substrate
+    the guarded run costs one halo recomputation and one reference
+    evaluation per call and always completes. *)
 
 val run_batch :
   ?mode:Ccc_runtime.Exec.mode ->
   t ->
   Ccc_stencil.Pattern.t list ->
   Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.batch, error) result
-(** Execute several statements over the same source array behind one
-    halo exchange and one front-end launch; see
-    {!Ccc_runtime.Exec.run_batch_arena} for the aggregate-statistics
-    contract.  All statements must name the same source variable and
-    boundary semantics ([Error (Invalid_batch _)] otherwise). *)
+  (Ccc_runtime.Exec.batch, Outcome.reject) result
+(** Execute several statements over the same source array as one
+    program: one halo exchange and one front-end launch; see
+    {!Ccc_runtime.Exec.batch} for the statistics contract.  Batches
+    are always compiled.  All statements must name the same source
+    variable and boundary semantics ([Error (Invalid_batch _)]
+    otherwise), and each passes the resolve step of {!run}. *)
 
 val run_batch_statements :
   ?mode:Ccc_runtime.Exec.mode ->
   t ->
   string list ->
   Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.batch, error) result
+  (Ccc_runtime.Exec.batch, Outcome.reject) result
 
 (** {1 Counters} *)
 

@@ -32,6 +32,14 @@ let degraded ?fingerprint detail = Degraded { detail; fingerprint }
 let refused ?fingerprint reject = Refused { reject; fingerprint }
 let shed ?fingerprint s = Shed { shed = s; fingerprint }
 
+let checked f =
+  match f () with
+  | v -> Ok v
+  | exception Ccc_runtime.Reference.Unbound name ->
+      Error (Parse_error (Printf.sprintf "unbound array %s" name))
+  | exception Ccc_runtime.Reference.Shape_mismatch m -> Error (Parse_error m)
+  | exception Exec.Too_small m -> Error (Too_small m)
+
 let fingerprint = function
   | Completed { fingerprint; _ }
   | Degraded { fingerprint; _ }
@@ -61,8 +69,7 @@ let exit_code = function
   | Refused _ -> 1
   | Shed _ -> 3
 
-(* Exactly the text the pre-unification [Engine.error_to_string]
-   produced: the cram suite pins it on every CLI rejection path. *)
+(* The cram suite pins this text on every CLI rejection path. *)
 let reject_to_string = function
   | Parse_error m -> "parse error: " ^ m
   | Rejected diags ->

@@ -15,16 +15,17 @@
     - {e shed} — the request was fine but the service declined it
       (admission control, deadline, shutdown).
 
-    Before PR 7 the first three lived in three overlapping shapes —
-    [Ccc.error], [Engine.error], [Engine.outcome] — and the fourth did
-    not exist.  This module is the single definition: [Engine.error]
-    and [Ccc.error] are now deprecated aliases of {!reject},
-    [Engine.degraded] of {!degraded}, and every arm carries the
-    stencil fingerprint (when one was computed) plus cycle attribution
-    so operators can bill simulated cycles per outcome. *)
+    Before PR 7 the first three lived in three overlapping shapes and
+    the fourth did not exist.  This module is the single definition:
+    every arm carries the stencil fingerprint (when one was computed)
+    plus cycle attribution so operators can bill simulated cycles per
+    outcome. *)
 
 type reject =
   | Parse_error of string
+      (** the request text does not parse, or its arrays do not fit
+          the statement: an unbound array, arrays of different shapes,
+          or a grid that does not divide over the node grid *)
   | Rejected of Ccc_frontend.Diagnostics.t list
       (** the statement does not fit the stylized stencil form *)
   | Resource_error of (int * Ccc_analysis.Finding.t) list
@@ -68,6 +69,14 @@ val degraded : ?fingerprint:string -> degraded -> t
 val refused : ?fingerprint:string -> reject -> t
 val shed : ?fingerprint:string -> shed -> t
 
+val checked : (unit -> 'a) -> ('a, reject) result
+(** [checked f] runs [f] and answers the input errors of the run-time
+    driver's check ({!Ccc_runtime.Exec.check}) as refusals: an
+    unbound array, arrays of different shapes, and a grid that does
+    not divide over the node grid as [Parse_error]; a border wider
+    than the per-node subgrid as [Too_small].  Other exceptions pass
+    through. *)
+
 (** {1 Accessors} *)
 
 val fingerprint : t -> string option
@@ -94,8 +103,8 @@ val exit_code : t -> int
 (** {1 Printing} *)
 
 val reject_to_string : reject -> string
-(** Renders exactly what [Engine.error_to_string] rendered before the
-    unification, so pinned CLI output is unchanged. *)
+(** One line per rejection, [parse error: ...], [array too small: ...]
+    and so on; the cram suite pins it on every CLI rejection path. *)
 
 val shed_to_string : shed -> string
 val to_string : t -> string

@@ -76,7 +76,9 @@ let test_naive_much_slower_than_compiled () =
   let p = Pattern.cross9 () in
   let compiled = Tutil.compile_exn p in
   let naive = Naive.estimate ~sub_rows:128 ~sub_cols:128 config p in
-  let ours = Ccc.Exec.estimate ~sub_rows:128 ~sub_cols:128 config compiled in
+  let ours = Ccc.Exec.estimate ~sub_rows:128 ~sub_cols:128 config
+      [ Ccc.Exec.compiled compiled ]
+  in
   (* The paper's gap: ~4 GF class vs >10 GF class. *)
   check_bool "at least 3x slower" true
     (Stats.mflops ours > 3.0 *. Stats.mflops naive)
@@ -177,7 +179,9 @@ let test_canned_between_naive_and_compiled () =
     | Canned.Library s -> s
     | Canned.Fallback _ -> Alcotest.fail "square9 should be served"
   in
-  let ours = Ccc.Exec.estimate ~sub_rows:128 ~sub_cols:128 config compiled in
+  let ours = Ccc.Exec.estimate ~sub_rows:128 ~sub_cols:128 config
+      [ Ccc.Exec.compiled compiled ]
+  in
   check_bool "canned beats naive" true
     (Stats.mflops canned > Stats.mflops naive);
   check_bool "compiled beats canned" true

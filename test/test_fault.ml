@@ -29,6 +29,7 @@ module Finding = Ccc.Finding
 module Inject = Ccc.Inject
 module Guard = Ccc.Guard
 module Engine = Ccc.Engine
+module Outcome = Ccc.Outcome
 module Metrics = Ccc.Metrics
 
 let config = Ccc.Config.default
@@ -65,11 +66,12 @@ let cross5 ?source ?result () =
 let compile_exn p =
   match Ccc.compile_pattern config p with
   | Ok c -> c
-  | Error e -> Alcotest.failf "compile: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "compile: %s" (Ccc.Outcome.reject_to_string e)
 
 let ok_exn = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "engine error: %s" (Engine.error_to_string e)
+  | Outcome.Refused { reject; _ } ->
+      Alcotest.failf "engine error: %s" (Outcome.reject_to_string reject)
+  | o -> o
 
 let check_bit_identical what a b =
   let diff = Grid.max_abs_diff a b in
@@ -242,7 +244,7 @@ let test_corrupt_walk_past_last_region () =
          (fun (t : Tap.t) -> t.Tap.offset = Offset.make ~drow:1 ~dcol:1)
          (Pattern.taps pattern))
   in
-  let poisoned = Kernel.corrupt ~seed:victim (Kernel.lower pattern) in
+  let poisoned = Kernel.corrupt ~seed:victim (Kernel.lower (Ccc.Multi.of_pattern pattern)) in
   let memory_words = 1 lsl 16 in
   let run machine =
     let stray = ref None in
@@ -345,10 +347,10 @@ let test_guarded_clean () =
   let p = cross5 () in
   let env = env_for ~rows:16 ~cols:16 p in
   (match ok_exn (Engine.run_guarded engine p env) with
-  | Engine.Completed r ->
+  | Outcome.Completed { result = r; _ } ->
       check_bit_identical "guarded clean run vs one-shot"
         (Ccc.apply config (compile_exn p) env).Exec.output r.Exec.output
-  | Engine.Degraded _ -> Alcotest.fail "a clean substrate must complete");
+  | _ -> Alcotest.fail "a clean substrate must complete");
   check_counters "clean" engine (0, 0, 0, 0)
 
 let test_guarded_transient () =
@@ -359,11 +361,10 @@ let test_guarded_transient () =
   let env = env_for ~rows:16 ~cols:16 p in
   let inj = Inject.arm ~seed:5 ~nodes Inject.Bit_flip in
   (match ok_exn (Engine.run_guarded ~inject:(Inject.hooks inj) engine p env) with
-  | Engine.Completed r ->
+  | Outcome.Completed { result = r; _ } ->
       check_bit_identical "completed-after-retry vs one-shot"
         (Ccc.apply config (compile_exn p) env).Exec.output r.Exec.output
-  | Engine.Degraded _ ->
-      Alcotest.fail "a one-shot fault must be retried to completion");
+  | _ -> Alcotest.fail "a one-shot fault must be retried to completion");
   (match Inject.fired inj with
   | None -> Alcotest.fail "the injector never fired under the engine"
   | Some _ -> ());
@@ -400,23 +401,23 @@ let test_guarded_degrades () =
       (Engine.run_guarded ~inject:(persistent_corruptor ()) ~max_retries:2
          engine p env)
   with
-  | Engine.Completed _ ->
+  | Outcome.Completed _ | Outcome.Refused _ | Outcome.Shed _ ->
       Alcotest.fail "a persistent fault must not complete"
-  | Engine.Degraded d ->
+  | Outcome.Degraded { detail = d; _ } ->
       check_bit_identical "degraded output = host reference"
-        (Ccc.Reference.apply p env) d.Engine.output;
+        (Ccc.Reference.apply p env) d.Outcome.output;
       Alcotest.(check int) "both same-kernel retries spent" 2
-        d.Engine.retries;
+        d.Outcome.retries;
       Alcotest.(check bool) "the cache entry was recompiled" true
-        d.Engine.recompiled;
+        d.Outcome.recompiled;
       check_classes "degraded findings"
         [ Finding.Halo_integrity; Finding.Output_integrity ]
-        d.Engine.findings;
+        d.Outcome.findings;
       if
         not
           (List.exists
              (fun f -> f.Finding.check = Finding.Halo_integrity)
-             d.Engine.findings)
+             d.Outcome.findings)
       then Alcotest.fail "the halo guard must have seen the corruption";
       (* first attempt + 2 retries + post-recompile attempt *)
       check_counters "degraded" engine (4, 2, 1, 1);
@@ -440,10 +441,8 @@ let test_guarded_too_small () =
   in
   let env = env_for ~rows:8 ~cols:8 wide in
   match Engine.run_guarded engine wide env with
-  | Error (Engine.Too_small _) -> ()
-  | Ok _ -> Alcotest.fail "expected Too_small, got an outcome"
-  | Error e ->
-      Alcotest.failf "expected Too_small, got %s" (Engine.error_to_string e)
+  | Outcome.Refused { reject = Outcome.Too_small _; _ } -> ()
+  | o -> Alcotest.failf "expected Too_small, got %s" (Outcome.to_string o)
 
 (* --- conformance flight dumps (PR 8) -------------------------------- *)
 

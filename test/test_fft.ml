@@ -25,6 +25,7 @@ module Grid = Ccc.Grid
 module Exec = Ccc.Exec
 module Fft = Ccc.Fft
 module Engine = Ccc.Engine
+module Outcome = Ccc.Outcome
 
 let config = Ccc.Config.default
 
@@ -224,7 +225,7 @@ let test_engine_cache_hit () =
           (Printf.sprintf "run %d matches reference" i)
           true
           (Grid.max_abs_diff r.Exec.output expected < 1e-9)
-    | Error err -> Alcotest.failf "run %d: %s" i (Engine.error_to_string err)
+    | Error err -> Alcotest.failf "run %d: %s" i (Outcome.reject_to_string err)
   done;
   let s = Engine.stats e in
   (* first request misses and builds the plan; the two repeats are
@@ -251,22 +252,53 @@ let test_width8_fallthrough () =
       let env = uniform_env_for ~rows:32 ~cols:32 p in
       (* the compiled path still reports the section-6 rejection *)
       (match Engine.compile e p with
-      | Error (Engine.Resource_error _) -> ()
+      | Error (Outcome.Resource_error _) -> ()
       | Ok _ -> Alcotest.failf "%s compiled at width 8" name
       | Error err ->
-          Alcotest.failf "%s: unexpected %s" name (Engine.error_to_string err));
+          Alcotest.failf "%s: unexpected %s" name (Outcome.reject_to_string err));
       (* ... and the guarded run completes through the transform plan *)
       match Engine.run_guarded e p env with
-      | Ok (Engine.Completed r) ->
+      | Outcome.Completed { result = r; _ } ->
           let expected = Ccc.Reference.apply p env in
           check_bool (name ^ " matches reference") true
             (Grid.max_abs_diff r.Exec.output expected < 1e-9)
-      | Ok (Engine.Degraded _) -> Alcotest.failf "%s degraded" name
-      | Error err -> Alcotest.failf "%s: %s" name (Engine.error_to_string err))
+      | o -> Alcotest.failf "%s: %s" name (Outcome.to_string o))
     [ "cross9"; "diamond13" ];
   let s = Engine.stats e in
   check_int "both served by the transform path" 2 s.Engine.fft_runs;
   check_int "one plan per pattern" 2 s.Engine.fft_builds
+
+(* --- the planner prices what the run pays --------------------------- *)
+
+(* A circular 5x5 scalar Gaussian at 64x64 on the default machine: the
+   transform run reports its halo exchange next to its transposes and
+   compute, so the planner must price it too.  With the exchange priced
+   the compiled path is the cheaper one; pricing the transform without
+   it (11116 cycles) once sent this request to the dearer path. *)
+let test_planner_prices_the_halo () =
+  let p = gauss 5 2.0 in
+  let rows = 64 and cols = 64 in
+  let sub_rows = rows / config.Ccc.Config.node_rows
+  and sub_cols = cols / config.Ccc.Config.node_cols in
+  let compiled =
+    match Ccc.Compile.compile config p with
+    | Ok c -> c
+    | Error r -> Alcotest.failf "gauss5: %s" (Ccc.Compile.no_workable r)
+  in
+  let total (s : Ccc.Stats.t) = s.Ccc.Stats.comm_cycles + s.Ccc.Stats.compute_cycles in
+  let price st = total (Exec.estimate ~sub_rows ~sub_cols config [ st ]) in
+  let env = uniform_env_for ~rows ~cols p in
+  let ran =
+    Exec.single
+      (Exec.exec (Exec.Arena.transient (Ccc.machine config))
+         [ Exec.transform p ] env)
+  in
+  check_int "transform: price = the run's own total" (total ran.Exec.stats)
+    (price (Exec.transform p));
+  check_int "transform total" 11436 (price (Exec.transform p));
+  check_int "compiled total" 11360 (price (Exec.compiled compiled));
+  check_bool "the planner picks the compiled path" true
+    (Exec.select_backend ~sub_rows ~sub_cols config (Some compiled) = `Compiled)
 
 let () =
   Alcotest.run "fft"
@@ -292,5 +324,10 @@ let () =
             test_engine_cache_hit;
           Alcotest.test_case "width-8 rejections complete via transform" `Quick
             test_width8_fallthrough;
+        ] );
+      ( "planner",
+        [
+          Alcotest.test_case "the transform's halo exchange is priced" `Quick
+            test_planner_prices_the_halo;
         ] );
     ]

@@ -441,7 +441,7 @@ let test_compile_program_units () =
      END\n"
   in
   match Ccc.compile_program Ccc.Config.default source with
-  | Error e -> Alcotest.failf "program: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "program: %s" (Ccc.Outcome.reject_to_string e)
   | Ok units -> begin
       check_int "three units" 3 (List.length units);
       match units with

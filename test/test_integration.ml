@@ -76,7 +76,7 @@ let test_defstencil_to_execution () =
     \  (:= r (+ (* c (cshift x 2 -1)) (* c x) (* c (cshift x 2 +1)))))"
   in
   match Ccc.compile_defstencil config form with
-  | Error e -> Alcotest.failf "defstencil: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "defstencil: %s" (Ccc.Outcome.reject_to_string e)
   | Ok compiled ->
       let env = Tutil.env_for ~rows:8 ~cols:24 compiled.Ccc.Compile.pattern in
       let expected = Ccc.Reference.apply compiled.Ccc.Compile.pattern env in
@@ -207,10 +207,12 @@ let test_tuned_runtime_is_faster () =
   (* The 7 Dec 90 rows: strength-reduced front-end dispatch. *)
   let pattern = Pattern.diamond13 () in
   let compiled = Tutil.compile_exn pattern in
-  let nov = Exec.estimate ~sub_rows:128 ~sub_cols:256 config compiled in
+  let nov =
+    Exec.estimate ~sub_rows:128 ~sub_cols:256 config [ Exec.compiled compiled ]
+  in
   let dec =
     Exec.estimate ~sub_rows:128 ~sub_cols:256 (Ccc.Config.tuned_runtime config)
-      compiled
+      [ Exec.compiled compiled ]
   in
   Alcotest.(check bool)
     "tuned runtime is faster" true

@@ -45,7 +45,7 @@ let fused_env ~rows ~cols multi =
 let compile_fused_exn multi =
   match Ccc.compile_multi config multi with
   | Ok fused -> fused
-  | Error e -> Alcotest.failf "fused compile failed: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "fused compile failed: %s" (Ccc.Outcome.reject_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Multi IR *)
@@ -193,9 +193,13 @@ let test_fused_comm_counts_both_sources () =
      cost, so fused comm equals the nine-point kernel's comm. *)
   let multi = gordon_bell_fused () in
   let fused = compile_fused_exn multi in
-  let stats = Exec.estimate_fused ~sub_rows:64 ~sub_cols:64 config fused in
+  let stats =
+    Exec.estimate ~sub_rows:64 ~sub_cols:64 config [ Exec.fused fused ]
+  in
   let nine = Tutil.compile_exn (Pattern.cross9 ()) in
-  let nine_stats = Exec.estimate ~sub_rows:64 ~sub_cols:64 config nine in
+  let nine_stats =
+    Exec.estimate ~sub_rows:64 ~sub_cols:64 config [ Exec.compiled nine ]
+  in
   check_int "comm cycles" nine_stats.Stats.comm_cycles stats.Stats.comm_cycles
 
 let test_fused_estimate_matches_run () =
@@ -203,7 +207,9 @@ let test_fused_estimate_matches_run () =
   let fused = compile_fused_exn multi in
   let env = fused_env ~rows:(4 * 9) ~cols:(4 * 11) multi in
   let { Exec.stats = run_stats; _ } = Ccc.apply_fused config fused env in
-  let est = Exec.estimate_fused ~sub_rows:9 ~sub_cols:11 config fused in
+  let est =
+    Exec.estimate ~sub_rows:9 ~sub_cols:11 config [ Exec.fused fused ]
+  in
   check_int "compute" run_stats.Stats.compute_cycles est.Stats.compute_cycles;
   check_int "comm" run_stats.Stats.comm_cycles est.Stats.comm_cycles;
   check_int "flops" run_stats.Stats.useful_flops_per_iteration
@@ -215,7 +221,8 @@ let test_fused_beats_separate_tenth_pass () =
   let multi = gordon_bell_fused () in
   let fused = compile_fused_exn multi in
   let fused_stats =
-    Exec.estimate_fused ~sub_rows:64 ~sub_cols:128 ~iterations:100 config fused
+    Exec.estimate ~sub_rows:64 ~sub_cols:128 ~iterations:100 config
+      [ Exec.fused fused ]
   in
   let unfused =
     Ccc.Seismic.estimate ~version:Ccc.Seismic.Unrolled3 ~sub_rows:64
@@ -314,7 +321,7 @@ let test_recognize_gordon_bell_statement () =
   (* And it compiles. *)
   match Ccc.compile_multi config m with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "does not compile: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "does not compile: %s" (Ccc.Outcome.reject_to_string e)
 
 let test_recognize_single_source_agrees () =
   let src = "R = C1 * CSHIFT(X, 1, -1) + C2 * X" in
@@ -355,6 +362,48 @@ let test_recognize_two_sources_both_shifted_product () =
   | Ok _ -> Alcotest.fail "source * source must be rejected"
   | Error _ -> ()
 
+(* The fused statement is checked like any other before anything is
+   allocated: every array it reads must be bound and shaped like its
+   first source.  A two-source stencil, P at (0,1) with C1 and Q at
+   (0,0) with C2, on 32x32, with one array mis-shaped at a time. *)
+let test_fused_env_checked () =
+  let multi =
+    Multi.create ~sources:[ "P"; "Q" ]
+      [
+        {
+          Multi.source = 0;
+          tap = Tap.make (Offset.make ~drow:0 ~dcol:1) (Coeff.Array "C1");
+        };
+        { Multi.source = 1; tap = Tap.make Offset.zero (Coeff.Array "C2") };
+      ]
+  in
+  let fused = compile_fused_exn multi in
+  let env ?(p = 32) ?(q = 32) ?(c1 = 32) ?(c2 = 32) () =
+    List.mapi
+      (fun i (name, n) -> (name, Tutil.mixed_grid ~seed:(40 + i) ~rows:n ~cols:n))
+      [ ("P", p); ("Q", q); ("C1", c1); ("C2", c2) ]
+  in
+  List.iter
+    (fun (what, env) ->
+      let machine = Ccc.machine config in
+      let top () = (Ccc.Machine.alloc_all machine ~words:0).Ccc_cm2.Memory.base in
+      let before = top () in
+      let arena = Exec.Arena.create machine in
+      (match Exec.exec arena [ Exec.fused fused ] env with
+      | _ -> Alcotest.failf "%s: expected Shape_mismatch" what
+      | exception Ccc.Reference.Shape_mismatch _ -> ());
+      check_int (what ^ ": nothing allocated") before (top ());
+      check_int (what ^ ": no regions acquired") 0 (Exec.Arena.rebuilds arena);
+      match Ccc.apply_fused config fused env with
+      | _ -> Alcotest.failf "%s: apply_fused must refuse" what
+      | exception Ccc.Reference.Shape_mismatch _ -> ())
+    [
+      ("Q 64x64", env ~q:64 ());
+      ("C2 64x64", env ~c2:64 ());
+      ("C1 16x16", env ~c1:16 ());
+      ("Q 16x16", env ~q:16 ());
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "multi"
@@ -386,6 +435,7 @@ let () =
             test_fused_beats_separate_tenth_pass;
           tc "EOSHIFT boundary and bias, fused" test_fused_eoshift_and_bias;
           tc "three time levels in one statement" test_fused_three_sources;
+          tc "environment checked before allocation" test_fused_env_checked;
         ] );
       ( "recognize",
         [

@@ -488,9 +488,13 @@ let test_attribute_matches_estimate () =
       | Error _ -> ()
       | Ok compiled ->
           let stats =
-            Ccc.Exec.estimate ~sub_rows:16 ~sub_cols:16 config compiled
+            Ccc.Exec.estimate ~sub_rows:16 ~sub_cols:16 config
+              [ Ccc.Exec.compiled compiled ]
           in
-          let b = Ccc.Exec.attribute ~sub_rows:16 ~sub_cols:16 config compiled in
+          let b =
+            Ccc.Exec.attribute ~sub_rows:16 ~sub_cols:16 config
+              [ Ccc.Exec.compiled compiled ]
+          in
           Alcotest.(check int)
             (name ^ ": attributed compute = estimate")
             stats.Ccc.Stats.compute_cycles
@@ -542,7 +546,7 @@ let test_run_spans_and_metrics () =
   let compiled =
     match Ccc.compile_pattern config p with
     | Ok c -> c
-    | Error e -> Alcotest.failf "compile: %s" (Ccc.error_to_string e)
+    | Error e -> Alcotest.failf "compile: %s" (Ccc.Outcome.reject_to_string e)
   in
   let obs = Obs.create ~clock:(fun () -> 0.0) () in
   let env = env_for ~rows:32 ~cols:32 p in
@@ -571,7 +575,7 @@ let test_trace_header_names_width () =
   let compiled =
     match Ccc.compile_pattern config p with
     | Ok c -> c
-    | Error e -> Alcotest.failf "compile: %s" (Ccc.error_to_string e)
+    | Error e -> Alcotest.failf "compile: %s" (Ccc.Outcome.reject_to_string e)
   in
   (match Ccc.Exec.trace ~lines:1 config compiled with
   | header :: _ ->
@@ -590,10 +594,10 @@ let test_engine_metrics () =
   let env = env_for ~rows:32 ~cols:32 p in
   (match Ccc.Engine.run engine p env with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "engine run: %s" (Ccc.Engine.error_to_string e));
+  | Error e -> Alcotest.failf "engine run: %s" (Ccc.Outcome.reject_to_string e));
   (match Ccc.Engine.run engine p env with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "engine run: %s" (Ccc.Engine.error_to_string e));
+  | Error e -> Alcotest.failf "engine run: %s" (Ccc.Outcome.reject_to_string e));
   let s = Ccc.Engine.stats engine in
   Alcotest.(check int) "two runs" 2 s.Ccc.Engine.runs;
   Alcotest.(check int) "one miss, one hit" 1 s.Ccc.Engine.hits;
@@ -665,7 +669,10 @@ let prop_attribution_sums_to_interp_and_cost =
           let { Ccc.Exec.output = _; stats } =
             Ccc.apply ~obs ~mode:Ccc.Exec.Simulate config compiled env
           in
-          let b = Ccc.Exec.attribute ~sub_rows:5 ~sub_cols:5 config compiled in
+          let b =
+            Ccc.Exec.attribute ~sub_rows:5 ~sub_cols:5 config
+              [ Ccc.Exec.compiled compiled ]
+          in
           let traced =
             List.fold_left
               (fun acc s -> acc + sum_halfstrip_cycles s)

@@ -32,7 +32,7 @@ let model_mflops (row : Paper_data.row) =
     (Exec.estimate ~iterations:row.Paper_data.iterations
        ~sub_rows:row.Paper_data.sub_rows ~sub_cols:row.Paper_data.sub_cols
        config
-       (compiled_for row.Paper_data.pattern))
+       [ Exec.compiled (compiled_for row.Paper_data.pattern) ])
 
 (* ------------------------------------------------------------------ *)
 (* The reconstruction argument of DESIGN.md section 2. *)

@@ -15,7 +15,10 @@
    - strip mining tiles the axis exactly;
    - a pattern rendered to Fortran and recognized again is unchanged;
    - the lazily materialized node memory is indistinguishable from a
-     store zero-filled to its full capacity. *)
+     store zero-filled to its full capacity;
+   - the execution driver reports exactly the price walk's statistics
+     for every statement kind, and a batch gives each statement the
+     output of its own single run. *)
 
 module Q = QCheck2
 module Gen = QCheck2.Gen
@@ -298,7 +301,9 @@ let prop_estimate_consistent_with_run =
             env_of_pattern ~rows:(4 * sub_rows) ~cols:(4 * sub_cols) p
           in
           let { Exec.stats = r; _ } = Ccc.apply config compiled env in
-          let e = Exec.estimate ~sub_rows ~sub_cols config compiled in
+          let e =
+            Exec.estimate ~sub_rows ~sub_cols config [ Exec.compiled compiled ]
+          in
           r.Stats.comm_cycles = e.Stats.comm_cycles
           && r.Stats.compute_cycles = e.Stats.compute_cycles
           && r.Stats.useful_flops_per_iteration
@@ -585,15 +590,26 @@ let prop_backend_choice_follows_cost =
       match compiled with
       | None -> choice = `Fft
       | Some c -> (
-          match Exec.estimate ~sub_rows:sub ~sub_cols:sub config c with
+          (* Both sides are the price walk's full totals: the transform
+             pays the halo exchange its run performs, on top of the
+             transposes and compute of [Cost.fft_cycles]. *)
+          let total st =
+            let s = Exec.estimate ~sub_rows:sub ~sub_cols:sub config [ st ] in
+            s.Stats.comm_cycles + s.Stats.compute_cycles
+          in
+          match total (Exec.compiled c) with
           | exception Exec.Too_small _ -> choice = `Compiled
-          | s ->
+          | direct ->
               let pad = Pattern.max_border p in
               let rows = sub * config.Ccc.Config.node_rows
               and cols = sub * config.Ccc.Config.node_cols in
-              let fft = Ccc.Cost.fft_cycles config ~rows ~cols ~pad in
-              let direct = s.Stats.comm_cycles + s.Stats.compute_cycles in
-              choice = (if direct <= fft then `Compiled else `Fft)))
+              let fft = total (Exec.transform p) in
+              fft
+              = Ccc.Halo.cycles_model ~primitive:Ccc.Halo.Node_level
+                  ~sub_rows:sub ~sub_cols:sub ~pad
+                  ~corners:(Pattern.needs_corners p) config
+                + Ccc.Cost.fft_cycles config ~rows ~cols ~pad
+              && choice = if direct <= fft then `Compiled else `Fft))
 
 let prop_fft_pool_bit_identical =
   Q.Test.make ~name:"fft path bit-identical across pool sizes" ~count:15
@@ -601,7 +617,11 @@ let prop_fft_pool_bit_identical =
       let rows = 4 * 6 and cols = 4 * 6 in
       let env = uniform_env_of_pattern ~rows ~cols p in
       let run ?pool () =
-        (Exec.run_fft ?pool (Ccc.machine config) p env).Exec.output
+        (Exec.single
+           (Exec.exec ?pool
+              (Exec.Arena.transient (Ccc.machine config))
+              [ Exec.transform p ] env))
+          .Exec.output
       in
       let seq = run () in
       Grid.max_abs_diff (Ccc.Reference.apply p env) seq < 1e-9
@@ -610,6 +630,117 @@ let prop_fft_pool_bit_identical =
              let pool = List.assoc jobs pools in
              bit_identical seq (run ~pool ()))
            [ 2; 7 ])
+
+(* ------------------------------------------------------------------ *)
+(* The one driver's contract: every statement kind — compiled, fused,
+   transform — reports exactly the statistics the price walk predicts,
+   the attribution's compute is that walk's compute, and a batch gives
+   each statement the output and compute of its own single run. *)
+
+type drawn =
+  | Single of Pattern.t
+  | Fused of Ccc.Multi.t
+  | Transformed of Pattern.t
+
+let print_drawn = function
+  | Single p -> "compiled " ^ print_pattern p
+  | Fused m -> "fused " ^ print_multi m
+  | Transformed p -> "transform " ^ print_pattern p
+
+let gen_drawn =
+  Gen.oneof
+    [
+      Gen.map (fun p -> Single p) gen_pattern;
+      Gen.map (fun m -> Fused m) gen_multi;
+      Gen.map (fun p -> Transformed p) gen_pattern;
+    ]
+
+let multi_env ~rows ~cols m =
+  List.mapi
+    (fun i name -> (name, Tutil.mixed_grid ~seed:(90 + i) ~rows ~cols))
+    (Ccc.Multi.referenced_arrays m)
+
+let prop_driver_stats_are_the_walk =
+  Q.Test.make ~name:"driver stats = estimate; attribute compute = estimate"
+    ~count:60 ~print:print_drawn gen_drawn (fun drawn ->
+      let sub_rows = 5 and sub_cols = 6 in
+      let rows = 4 * sub_rows and cols = 4 * sub_cols in
+      let statement, env =
+        match drawn with
+        | Single p -> (
+            match Ccc.compile_pattern config p with
+            | Error _ -> Q.assume_fail ()
+            | Ok c -> (Exec.compiled c, env_of_pattern ~rows ~cols p))
+        | Fused m -> (
+            match Ccc.compile_multi config m with
+            | Error _ -> Q.assume_fail ()
+            | Ok f -> (Exec.fused f, multi_env ~rows ~cols m))
+        | Transformed p ->
+            (Exec.transform p, uniform_env_of_pattern ~rows ~cols p)
+      in
+      let program = [ statement ] in
+      let run mode =
+        (Exec.exec ~mode (Exec.Arena.transient (Ccc.machine config)) program
+           env)
+          .Exec.batch_stats
+      in
+      let estimate = Exec.estimate ~sub_rows ~sub_cols config program in
+      let attributed = Exec.attribute ~sub_rows ~sub_cols config program in
+      (* Simulate asserts Cost = Interp in cycles and madds on every
+         node, fused statements included *)
+      run Exec.Fast = estimate
+      && run Exec.Simulate = estimate
+      && Ccc.Profiler.total attributed.Ccc.Profiler.compute
+         = estimate.Stats.compute_cycles
+      && attributed.Ccc.Profiler.comm_cycles = estimate.Stats.comm_cycles
+      && attributed.Ccc.Profiler.frontend_s = estimate.Stats.frontend_s)
+
+(* Two to four statements over one source with one boundary, their
+   coefficient arrays bound by name in one shared environment. *)
+let gen_batch =
+  let open Gen in
+  gen_boundary >>= fun boundary ->
+  list_size (int_range 2 4)
+    (gen_offsets >>= fun offsets ->
+     flatten_l (List.mapi (fun i _ -> gen_coeff i) offsets) >>= fun coeffs ->
+     return (Pattern.create ~boundary (List.map2 Tap.make offsets coeffs)))
+
+let prop_batch_is_its_singles =
+  Q.Test.make ~name:"a batch gives each statement its single run"
+    ~count:40
+    ~print:(fun ps -> String.concat " / " (List.map print_pattern ps))
+    gen_batch (fun patterns ->
+      let compiled =
+        List.map
+          (fun p ->
+            match Ccc.compile_pattern config p with
+            | Ok c -> c
+            | Error _ -> Q.assume_fail ())
+          patterns
+      in
+      let rows = 4 * 5 and cols = 4 * 7 in
+      let env =
+        List.map
+          (fun name ->
+            (name, Tutil.mixed_grid ~seed:(Hashtbl.hash name) ~rows ~cols))
+          (List.sort_uniq compare
+             (List.concat_map Ccc.Reference.referenced_arrays patterns))
+      in
+      let machine = Ccc.machine config in
+      let batch =
+        Exec.exec (Exec.Arena.create machine)
+          (List.map (fun c -> Exec.compiled c) compiled)
+          env
+      in
+      List.for_all2
+        (fun c (r : Exec.result) ->
+          let single = Exec.run machine c env in
+          bit_identical single.Exec.output r.Exec.output
+          && single.Exec.stats.Stats.compute_cycles
+             = r.Exec.stats.Stats.compute_cycles
+          && single.Exec.stats.Stats.madds_issued
+             = r.Exec.stats.Stats.madds_issued)
+        compiled batch.Exec.batch_results)
 
 (* ------------------------------------------------------------------ *)
 (* The reference evaluator against its definition, [Tutil.spec_apply]:
@@ -952,6 +1083,9 @@ let () =
         List.map to_alcotest
           [ prop_fused_matches_reference; prop_fused_simulate_matches_reference ]
       );
+      ( "driver",
+        List.map to_alcotest
+          [ prop_driver_stats_are_the_walk; prop_batch_is_its_singles ] );
       ( "compiler",
         List.map to_alcotest
           [ prop_regalloc_budget_and_lcm; prop_strips_tile_axis ] );

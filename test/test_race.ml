@@ -322,7 +322,7 @@ let env_for ?(seed = 0x5eed) ~rows ~cols pattern =
 let compile_exn pattern =
   match Ccc.compile_pattern config pattern with
   | Ok compiled -> compiled
-  | Error e -> Alcotest.failf "compile failed: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "compile failed: %s" (Ccc.Outcome.reject_to_string e)
 
 let assert_clean what log =
   match analyze_both log with
@@ -378,12 +378,16 @@ let test_live_engine_batch_clean () =
   in
   (* The resident workers predate enabling: they inherit their edges
      through the instrumented pool mutex (see Access's doc). *)
-  let engine = Ccc.Engine.create ~jobs:3 config in
+  let engine =
+    Ccc.Engine.create
+      ~settings:{ Ccc.Engine.default_settings with jobs = 3 }
+      config
+  in
   Fun.protect ~finally:(fun () -> Ccc.Engine.shutdown engine) @@ fun () ->
   Access.enable ();
   (match Ccc.Engine.run_batch ~mode:Ccc.Exec.Simulate engine patterns env with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "engine batch: %s" (Ccc.Engine.error_to_string e));
+  | Error e -> Alcotest.failf "engine batch: %s" (Ccc.Outcome.reject_to_string e));
   Access.disable ();
   Alcotest.(check bool) "instrumentation recorded" true
     (Access.event_count () > 0);
@@ -453,7 +457,7 @@ let test_engine_owner_check () =
   (match Ccc.Engine.run engine pattern env with
   | Ok _ -> ()
   | Error e ->
-      Alcotest.failf "owner run failed: %s" (Ccc.Engine.error_to_string e));
+      Alcotest.failf "owner run failed: %s" (Ccc.Outcome.reject_to_string e));
   let outcome =
     Domain.join
       (Domain.spawn (fun () ->

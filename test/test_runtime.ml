@@ -444,7 +444,7 @@ let test_exec_materializes_high_water () =
    0, five coefficient streams at 36.. and the destination at 116 reach
    word 131. *)
 let test_kernel_extent_guards_the_store () =
-  let kernel = Kernel.lower (Pattern.cross5 ()) in
+  let kernel = Kernel.lower (Ccc.Multi.of_pattern (Pattern.cross5 ())) in
   let spec =
     Kernel.specialize kernel ~sub_rows:4 ~sub_cols:4
       ~sources:[| { Kernel.base = 0; pcols = 6; pad = 1 } |]
@@ -466,55 +466,13 @@ let test_kernel_extent_guards_the_store () =
       Kernel.exec_tile spec (Kernel.tile_count spec) (Array.make 132 0.0));
   Kernel.exec_node spec (Array.make 132 0.0)
 
-let eoshift_cross () =
-  Ccc_stencil.Pattern.create ~boundary:(Boundary.End_off 0.5)
-    [
-      Ccc_stencil.Tap.make
-        (Ccc_stencil.Offset.make ~drow:(-1) ~dcol:0)
-        (Ccc_stencil.Coeff.Array "C1");
-      Ccc_stencil.Tap.make Ccc_stencil.Offset.zero (Ccc_stencil.Coeff.Array "C2");
-      Ccc_stencil.Tap.make
-        (Ccc_stencil.Offset.make ~drow:1 ~dcol:1)
-        (Ccc_stencil.Coeff.Array "C3");
-    ]
-
-let test_run_padded_ragged_shape () =
-  (* A 13x19 array does not divide over the 4x4 node grid; the padded
-     path must still produce exactly the reference result. *)
-  let pattern = eoshift_cross () in
-  let compiled = Tutil.compile_exn pattern in
-  let env = Tutil.env_for ~rows:13 ~cols:19 pattern in
-  let expected = Ccc.Reference.apply pattern env in
-  let m = machine () in
-  let { Exec.output; _ } = Exec.run_padded m compiled env in
-  check_int "rows preserved" 13 (Grid.rows output);
-  check_int "cols preserved" 19 (Grid.cols output);
-  check_float "matches reference" 0.0 (Grid.max_abs_diff expected output)
-
-let test_run_padded_even_shape_delegates () =
-  let pattern = eoshift_cross () in
-  let compiled = Tutil.compile_exn pattern in
-  let env = Tutil.env_for ~rows:16 ~cols:16 pattern in
-  let m = machine () in
-  let direct = Exec.run m compiled env in
-  let padded = Exec.run_padded m compiled env in
-  check_float "identical" 0.0
-    (Grid.max_abs_diff direct.Exec.output padded.Exec.output)
-
-let test_run_padded_rejects_circular () =
-  let pattern = Pattern.cross5 () in
-  let compiled = Tutil.compile_exn pattern in
-  let env = Tutil.env_for ~rows:13 ~cols:16 pattern in
-  let m = machine () in
-  match Exec.run_padded m compiled env with
-  | _ -> Alcotest.fail "circular + padding must be rejected"
-  | exception Invalid_argument _ -> ()
-
 let test_estimate_matches_run () =
   let compiled = Tutil.compile_exn (Pattern.square9 ()) in
   let env = Tutil.env_for ~rows:(4 * 11) ~cols:(4 * 13) (Pattern.square9 ()) in
   let { Exec.stats = run_stats; _ } = Ccc.apply config compiled env in
-  let est = Exec.estimate ~sub_rows:11 ~sub_cols:13 config compiled in
+  let est =
+    Exec.estimate ~sub_rows:11 ~sub_cols:13 config [ Exec.compiled compiled ]
+  in
   check_int "comm" run_stats.Stats.comm_cycles est.Stats.comm_cycles;
   check_int "compute" run_stats.Stats.compute_cycles est.Stats.compute_cycles;
   check_int "madds" run_stats.Stats.madds_issued est.Stats.madds_issued;
@@ -579,11 +537,6 @@ let () =
           tc "iterations scale stats, not data"
             test_exec_iterations_scale_stats_not_data;
           tc "releases machine memory" test_exec_releases_memory;
-          tc "ragged shapes via run_padded" test_run_padded_ragged_shape;
-          tc "run_padded delegates on even shapes"
-            test_run_padded_even_shape_delegates;
-          tc "run_padded rejects circular patterns"
-            test_run_padded_rejects_circular;
           tc "estimate matches run" test_estimate_matches_run;
           tc "stores materialize the high-water mark"
             test_exec_materializes_high_water;

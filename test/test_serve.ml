@@ -145,13 +145,13 @@ let prop_matches_sequential jobs =
             | Outcome.Completed { result; _ }, Ok seq ->
                 Grid.max_abs_diff result.Exec.output seq.Exec.output = 0.0
             | Outcome.Refused { reject; _ }, Error e ->
-                Outcome.reject_to_string reject = Engine.error_to_string e
+                Outcome.reject_to_string reject = Outcome.reject_to_string e
             | o, seq ->
                 Q.Test.fail_reportf "serve %s vs sequential %s"
                   (outcome_kind o)
                   (match seq with
                   | Ok _ -> "ok"
-                  | Error e -> Engine.error_to_string e))
+                  | Error e -> Outcome.reject_to_string e))
           responses
           (List.combine patterns envs)
       in
@@ -171,7 +171,7 @@ let test_coalescing () =
   let seq =
     match Engine.run baseline p env with
     | Ok r -> r.Exec.output
-    | Error e -> Alcotest.failf "baseline: %s" (Engine.error_to_string e)
+    | Error e -> Alcotest.failf "baseline: %s" (Outcome.reject_to_string e)
   in
   let first = List.hd responses in
   List.iter
@@ -206,7 +206,7 @@ let test_batched_window () =
       let seq =
         match Engine.run baseline p env with
         | Ok r -> r.Exec.output
-        | Error e -> Alcotest.failf "baseline: %s" (Engine.error_to_string e)
+        | Error e -> Alcotest.failf "baseline: %s" (Outcome.reject_to_string e)
       in
       check_bit_identical "batched output" seq (output_exn "batched" r);
       Alcotest.(check int) "two statements in the shared run" 2
@@ -625,6 +625,82 @@ let test_pool_accessors () =
       Alcotest.(check bool) "a structured Lifecycle finding" true
         (List.exists (fun f -> f.Finding.check = Finding.Lifecycle) fs)
 
+(* --- malformed input ----------------------------------------------- *)
+
+(* Poll a ticket against a wall-clock deadline instead of blocking in
+   [Serve.wait]: a request that killed its shard's worker would leave
+   the ticket unresolved and hang the whole suite. *)
+let wait_within ?(seconds = 10.0) t tk =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    match Serve.peek t tk with
+    | Some r -> r
+    | None when Unix.gettimeofday () > deadline ->
+        Alcotest.failf "ticket unresolved after %.0f s: the shard is wedged"
+          seconds
+    | None ->
+        Unix.sleepf 0.002;
+        poll ()
+  in
+  poll ()
+
+let expect_refused what (r : Serve.response) =
+  match r.Serve.outcome with
+  | Outcome.Refused { reject = Outcome.Parse_error _; _ } -> ()
+  | o -> Alcotest.failf "%s: expected a parse-error refusal, got %s" what
+           (Outcome.to_string o)
+
+let expect_completed what p env (r : Serve.response) =
+  let baseline = Engine.create config in
+  Fun.protect ~finally:(fun () -> Engine.shutdown baseline) @@ fun () ->
+  match Engine.run baseline p env with
+  | Ok seq -> check_bit_identical what seq.Exec.output (output_exn what r)
+  | Error e -> Alcotest.failf "%s: baseline %s" what (Outcome.reject_to_string e)
+
+(* Malformed singletons — a mis-shaped coefficient, a grid that does
+   not divide over the nodes, an unbound coefficient — share one
+   window on one shard with a well-formed request.  Each is refused,
+   the well-formed one completes, and so does one submitted after. *)
+let test_malformed_singletons () =
+  let p = cross5 () in
+  let good = env_for ~rows:32 ~cols:32 p in
+  let malformed =
+    [
+      ( "mis-shaped C3",
+        ("C3", mixed_grid ~seed:9 ~rows:16 ~cols:16) :: List.remove_assoc "C3" good );
+      ("33x33 grid", env_for ~rows:33 ~cols:33 p);
+      ("unbound C2", List.remove_assoc "C2" good);
+    ]
+  in
+  let t = Serve.create ~shards:1 ~paused:true config in
+  let submit env = Serve.submit t (Request.v ~tenant:"a" ~env (Request.Pattern p)) in
+  let bad = List.map (fun (what, env) -> (what, submit env)) malformed in
+  let ok = submit good in
+  Serve.resume t;
+  List.iter (fun (what, tk) -> expect_refused what (wait_within t tk)) bad;
+  let r = wait_within t ok in
+  expect_completed "well-formed request in the same window" p good r;
+  Alcotest.(check int) "one window" 0 r.Serve.window;
+  expect_completed "request submitted afterwards" p good
+    (wait_within t (submit good));
+  Serve.shutdown t
+
+(* A window that batches cross5 with a square9 whose extra
+   coefficients are unbound: the batch is refused as a batch, falls
+   back to per-pattern runs, and only the square9 is refused. *)
+let test_malformed_batch () =
+  let p = cross5 () and sq = Pattern.square9 () in
+  let env = env_for ~rows:32 ~cols:32 p in
+  let t = Serve.create ~shards:1 ~paused:true config in
+  let submit p = Serve.submit t (Request.v ~tenant:"a" ~env (Request.Pattern p)) in
+  let tp = submit p and tsq = submit sq in
+  Serve.resume t;
+  expect_refused "square9 with unbound coefficients" (wait_within t tsq);
+  expect_completed "cross5 in the same window" p env (wait_within t tp);
+  expect_completed "request submitted afterwards" p env
+    (wait_within t (submit p));
+  Serve.shutdown t
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -681,4 +757,11 @@ let () =
         ] );
       ( "pool",
         [ Alcotest.test_case "size, busy, closed" `Quick test_pool_accessors ] );
+      ( "input",
+        [
+          Alcotest.test_case "malformed singletons are refused" `Quick
+            test_malformed_singletons;
+          Alcotest.test_case "a malformed batch member is refused" `Quick
+            test_malformed_batch;
+        ] );
     ]

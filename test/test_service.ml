@@ -19,6 +19,7 @@ module Grid = Ccc.Grid
 module Exec = Ccc.Exec
 module Stats = Ccc.Stats
 module Engine = Ccc.Engine
+module Outcome = Ccc.Outcome
 module Fingerprint = Ccc.Fingerprint
 
 let config = Ccc.Config.default
@@ -57,12 +58,12 @@ let cross5 ?source ?result () =
 
 let ok_exn = function
   | Ok v -> v
-  | Error e -> Alcotest.failf "engine error: %s" (Engine.error_to_string e)
+  | Error e -> Alcotest.failf "engine error: %s" (Outcome.reject_to_string e)
 
 let compile_exn p =
   match Ccc.compile_pattern config p with
   | Ok c -> c
-  | Error e -> Alcotest.failf "compile: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "compile: %s" (Ccc.Outcome.reject_to_string e)
 
 let check_bit_identical what a b =
   let diff = Grid.max_abs_diff a b in
@@ -233,8 +234,8 @@ let prop_engine_matches_one_shot =
       let env = env_for ~rows ~cols p in
       let engine = Engine.create config in
       match Engine.run engine p env with
-      | Error (Engine.Resource_error _) -> true (* nothing compiles *)
-      | Error e -> Q.Test.fail_report (Engine.error_to_string e)
+      | Error (Outcome.Resource_error _) -> true (* nothing compiles *)
+      | Error e -> Q.Test.fail_report (Outcome.reject_to_string e)
       | Ok { Exec.output; stats } ->
           let one = Ccc.apply config (compile_exn p) env in
           Grid.max_abs_diff one.Exec.output output = 0.0
@@ -292,7 +293,9 @@ let test_rebound_plans_verify_clean () =
   Alcotest.(check int) "still one compile" 1 s.Engine.compiles
 
 let test_eviction () =
-  let engine = Engine.create ~capacity:2 config in
+  let engine = Engine.create
+      ~settings:{ Engine.default_settings with capacity = 2 }
+      config in
   let p1 = cross5 () in
   let p2 = pattern_of_offsets [ (0, -1); (0, 0); (0, 1) ] in
   let p3 = pattern_of_offsets [ (-1, 0); (0, 0); (1, 0) ] in
@@ -318,7 +321,9 @@ let test_eviction_rebind_verifies () =
      never served stale.  A rebind hit, by contrast, reuses the cached
      kernel without a re-proof (renames never move tap offsets).
      Pinned via the engine.kernel.verifies counter. *)
-  let engine = Engine.create ~capacity:2 config in
+  let engine = Engine.create
+      ~settings:{ Engine.default_settings with capacity = 2 }
+      config in
   let verifies () =
     Ccc.Metrics.Counter.value
       (Ccc.Metrics.counter (Engine.metrics engine) "engine.kernel.verifies")
@@ -354,16 +359,16 @@ let test_too_small_is_error () =
   let env = env_for ~rows:8 ~cols:8 wide in
   let engine = Engine.create config in
   (match Engine.run engine wide env with
-  | Error (Engine.Too_small _) -> ()
+  | Error (Outcome.Too_small _) -> ()
   | Ok _ -> Alcotest.fail "expected Too_small, got a result"
   | Error e -> Alcotest.failf "expected Too_small, got %s"
-                 (Engine.error_to_string e));
+                 (Outcome.reject_to_string e));
   match Ccc.run config (compile_exn wide) env with
-  | Error (Ccc.Too_small _) -> ()
+  | Error (Ccc.Outcome.Too_small _) -> ()
   | Ok _ -> Alcotest.fail "Ccc.run: expected Too_small, got a result"
   | Error e ->
       Alcotest.failf "Ccc.run: expected Too_small, got %s"
-        (Ccc.error_to_string e)
+        (Ccc.Outcome.reject_to_string e)
 
 (* --- batched execution --------------------------------------------- *)
 
@@ -447,11 +452,11 @@ let test_batch_validation () =
   let engine = Engine.create config in
   let env = env_for ~rows:16 ~cols:16 (cross5 ()) in
   (match Engine.run_batch engine [] env with
-  | Error (Engine.Invalid_batch _) -> ()
+  | Error (Outcome.Invalid_batch _) -> ()
   | _ -> Alcotest.fail "empty batch must be Invalid_batch");
   let mixed = [ cross5 ~source:"X" (); cross5 ~source:"Y" () ] in
   (match Engine.run_batch engine mixed env with
-  | Error (Engine.Invalid_batch _) -> ()
+  | Error (Outcome.Invalid_batch _) -> ()
   | _ -> Alcotest.fail "mixed sources must be Invalid_batch");
   let boundaries =
     [
@@ -461,8 +466,75 @@ let test_batch_validation () =
     ]
   in
   match Engine.run_batch engine boundaries env with
-  | Error (Engine.Invalid_batch _) -> ()
+  | Error (Outcome.Invalid_batch _) -> ()
   | _ -> Alcotest.fail "mixed boundaries must be Invalid_batch"
+
+(* --- input errors are refusals ------------------------------------- *)
+
+(* Three malformed environments on the default 4x4 nodes, each the
+   square9 environment (a superset of cross5's) spoiled one way: an
+   unbound coefficient, a coefficient shaped unlike the source, and a
+   grid that does not divide over the node grid.  Each must come back
+   as the same [Parse_error] refusal from every entry point, before
+   the guard ladder sees it. *)
+let malformed_envs () =
+  let good = env_for ~rows:32 ~cols:32 (Pattern.square9 ()) in
+  [
+    ("unbound C2", List.remove_assoc "C2" good, Some "unbound array C2");
+    ( "16x16 C3",
+      ("C3", mixed_grid ~seed:3 ~rows:16 ~cols:16) :: List.remove_assoc "C3" good,
+      Some "C3 is 16x16 but X is 32x32" );
+    ("33x33 grid", env_for ~rows:33 ~cols:33 (Pattern.square9 ()), None);
+  ]
+
+let expect_parse_error what message = function
+  | Error (Outcome.Parse_error m) -> (
+      match message with
+      | Some expected -> Alcotest.(check string) what expected m
+      | None -> ())
+  | Error e ->
+      Alcotest.failf "%s: expected a parse-error refusal, got %s" what
+        (Outcome.reject_to_string e)
+  | Ok _ -> Alcotest.failf "%s: expected a refusal, got a result" what
+
+let test_input_errors_refused () =
+  let p = cross5 () in
+  let engine = Engine.create config in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  List.iter
+    (fun (what, env, message) ->
+      expect_parse_error ("Engine.run, " ^ what) message
+        (Engine.run engine p env);
+      expect_parse_error ("Engine.run_guarded, " ^ what) message
+        (match Engine.run_guarded engine p env with
+        | Outcome.Refused { reject; fingerprint } ->
+            Alcotest.(check (option string))
+              (what ^ ": refusal carries the fingerprint")
+              (Some (Fingerprint.pattern p)) fingerprint;
+            Error reject
+        | o -> Alcotest.failf "%s: run_guarded gave %s" what (Outcome.to_string o));
+      expect_parse_error ("Engine.run_batch, " ^ what) message
+        (Engine.run_batch engine [ p; Pattern.square9 () ] env);
+      expect_parse_error ("Ccc.run, " ^ what) message
+        (Ccc.run config (compile_exn p) env))
+    (malformed_envs ());
+  let counter name =
+    Ccc.Metrics.Counter.value
+      (Ccc.Metrics.counter (Engine.metrics engine) name)
+  in
+  Alcotest.(check (list int))
+    "guard detections, retries, recompiles" [ 0; 0; 0 ]
+    (List.map counter
+       [
+         "engine.guard.detections";
+         "engine.guard.retries";
+         "engine.guard.recompiles";
+       ]);
+  (* the engine is still sound afterwards *)
+  let env = env_for ~rows:32 ~cols:32 p in
+  check_bit_identical "a well-formed request after the refusals"
+    (Ccc.apply config (compile_exn p) env).Exec.output
+    (ok_exn (Engine.run engine p env)).Exec.output
 
 (* ------------------------------------------------------------------ *)
 
@@ -507,5 +579,10 @@ let () =
           Alcotest.test_case "batch amortizes setup" `Quick
             test_batch_amortizes;
           Alcotest.test_case "batch validation" `Quick test_batch_validation;
+        ] );
+      ( "input",
+        [
+          Alcotest.test_case "malformed environments are refused" `Quick
+            test_input_errors_refused;
         ] );
     ]

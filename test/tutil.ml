@@ -26,7 +26,7 @@ let env_for ?(seed = deterministic_seed) ~rows ~cols pattern =
 let compile_exn ?(config = Ccc.Config.default) pattern =
   match Ccc.compile_pattern config pattern with
   | Ok compiled -> compiled
-  | Error e -> Alcotest.failf "compile failed: %s" (Ccc.error_to_string e)
+  | Error e -> Alcotest.failf "compile failed: %s" (Ccc.Outcome.reject_to_string e)
 
 let offset ~drow ~dcol = Ccc.Offset.make ~drow ~dcol
 
