@@ -56,7 +56,8 @@ val check_hazards : Ccc_cm2.Config.t -> Ccc_microcode.Plan.t -> unit
     before the first in-flight write to that register lands, that
     stores read landed values, and that loads target exactly the slot
     their column's ring rotation designates.  Raises
-    {!Ccc_analysis.Finding.Failed} on violation.
+    {!Ccc_analysis.Finding.Failed} on violation, a load whose ring has
+    size 0 included (a [Ring_layout] finding).
 
     This is the builder's own inline check; the standalone analyzer
     ([Ccc_analysis.Verify], run by [Compile] on every produced plan)

@@ -144,33 +144,6 @@ let check_fit sources ~sub_rows ~sub_cols =
                 sub_rows sub_cols)))
     sources
 
-let check (config : Config.t) (taps : Multi.t list) env =
-  let sources = sources_of taps in
-  let first = sources.(0).name in
-  let grid = Reference.lookup env first in
-  let rows = Grid.rows grid and cols = Grid.cols grid in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun name ->
-          let g = Reference.lookup env name in
-          if Grid.rows g <> rows || Grid.cols g <> cols then
-            raise
-              (Reference.Shape_mismatch
-                 (Printf.sprintf "%s is %dx%d but %s is %dx%d" name
-                    (Grid.rows g) (Grid.cols g) first rows cols)))
-        (Multi.referenced_arrays m))
-    taps;
-  let nrows = config.Config.node_rows and ncols = config.Config.node_cols in
-  if rows mod nrows <> 0 || cols mod ncols <> 0 then
-    raise
-      (Reference.Shape_mismatch
-         (Printf.sprintf "%s is %dx%d, which does not divide over the %dx%d \
-                          node grid"
-            first rows cols nrows ncols));
-  let sub_rows = rows / nrows and sub_cols = cols / ncols in
-  check_fit sources ~sub_rows ~sub_cols;
-  (sub_rows, sub_cols)
 
 (* ------------------------------------------------------------------ *)
 (* The price walk: the one cost model of every statement kind.  The
@@ -454,7 +427,59 @@ module Arena = struct
   let reset t =
     Machine.free_all_after t.machine t.floor;
     t.slot <- None
+
+  (* What [acquire] can still take on each node: everything above the
+     floor (node layouts are identical). *)
+  let words_free t =
+    Memory.words (Machine.memory t.machine 0)
+    - (t.floor.Memory.base + t.floor.Memory.words)
 end
+
+let check arena (taps : Multi.t list) ~streams env =
+  let config = Machine.config arena.Arena.machine in
+  let sources = sources_of taps in
+  let first = sources.(0).name in
+  let grid = Reference.lookup env first in
+  let rows = Grid.rows grid and cols = Grid.cols grid in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun name ->
+          let g = Reference.lookup env name in
+          if Grid.rows g <> rows || Grid.cols g <> cols then
+            raise
+              (Reference.Shape_mismatch
+                 (Printf.sprintf "%s is %dx%d but %s is %dx%d" name
+                    (Grid.rows g) (Grid.cols g) first rows cols)))
+        (Multi.referenced_arrays m))
+    taps;
+  let nrows = config.Config.node_rows and ncols = config.Config.node_cols in
+  if rows mod nrows <> 0 || cols mod ncols <> 0 then
+    raise
+      (Reference.Shape_mismatch
+         (Printf.sprintf "%s is %dx%d, which does not divide over the %dx%d \
+                          node grid"
+            first rows cols nrows ncols));
+  let sub_rows = rows / nrows and sub_cols = cols / ncols in
+  check_fit sources ~sub_rows ~sub_cols;
+  (* The regions [Arena.acquire] builds, per node: each source and its
+     padded halo, the streams and the destination. *)
+  let sub = sub_rows * sub_cols in
+  let needed =
+    Array.fold_left
+      (fun acc s ->
+        acc + sub + ((sub_rows + (2 * s.pad)) * (sub_cols + (2 * s.pad))))
+      ((streams + 1) * sub) sources
+  in
+  let free = Arena.words_free arena in
+  if needed > free then
+    raise
+      (Reference.Shape_mismatch
+         (Printf.sprintf
+            "%s is %dx%d: its %dx%d subgrids need %d words of node memory, \
+             %d are free"
+            first rows cols sub_rows sub_cols needed free));
+  (sub_rows, sub_cols)
 
 (* ------------------------------------------------------------------ *)
 (* The compute phase of one statement. *)
@@ -711,8 +736,13 @@ let exec ?(obs = Obs.disabled) ?(mode = Fast) ?(primitive = Halo.Node_level)
   (* 1. The environment, the node-grid fit and every border, before
      anything is allocated; the transform plans too, so a [Varying]
      coefficient leaves no machine state behind. *)
+  let nstreams =
+    List.fold_left
+      (fun acc st -> max acc (Array.length (stream_spec st)))
+      0 program
+  in
   let sub_rows, sub_cols =
-    check config (List.map (fun st -> st.taps) program) env
+    check arena (List.map (fun st -> st.taps) program) ~streams:nstreams env
   in
   let priced = price ~primitive ~sub_rows ~sub_cols config program in
   let own, stats =
@@ -746,10 +776,7 @@ let exec ?(obs = Obs.disabled) ?(mode = Fast) ?(primitive = Halo.Node_level)
   let slot =
     Arena.acquire arena ~sub_rows ~sub_cols
       ~pads:(Array.to_list (Array.map (fun s -> s.pad) sources))
-      ~nstreams:
-        (List.fold_left
-           (fun acc st -> max acc (Array.length (stream_spec st)))
-           0 program)
+      ~nstreams
   in
   let dst = slot.Arena.dst in
   let streams_of st =
@@ -867,7 +894,7 @@ let exec ?(obs = Obs.disabled) ?(mode = Fast) ?(primitive = Halo.Node_level)
          (List.combine program priced.costs)
          (List.combine fplans own))
   in
-  if arena.Arena.transient && Obs.tracing obs then
+  if Obs.tracing obs then
     Tr.emit obs.Obs.trace
       ~attrs:[ ("seconds", Tr.Float stats.Stats.frontend_s) ]
       "run.frontend";

@@ -184,13 +184,17 @@ end
 (** {1 Execution} *)
 
 val check :
-  Ccc_cm2.Config.t -> Ccc_stencil.Multi.t list -> Reference.env -> int * int
+  Arena.t -> Ccc_stencil.Multi.t list -> streams:int -> Reference.env -> int * int
 (** The driver's input check, run before anything is allocated:
     every array each statement reads is bound ({!Reference.Unbound}
     otherwise) and has the shape of the program's first source, which
     must divide over the node grid ({!Reference.Shape_mismatch}
-    otherwise), and every source's border fits the per-node subgrid
-    ({!Too_small} otherwise).  Returns the per-node subgrid shape. *)
+    otherwise), every source's border fits the per-node subgrid
+    ({!Too_small} otherwise), and the regions the arena builds for
+    the program — each source and its padded halo, [streams]
+    coefficient streams and the destination — fit the node memory the
+    arena can still allocate ({!Reference.Shape_mismatch} otherwise).
+    Returns the per-node subgrid shape. *)
 
 val exec :
   ?obs:Ccc_obs.Obs.t ->

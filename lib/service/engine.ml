@@ -417,36 +417,52 @@ type resolved = {
          request fell back to its compiled plan *)
 }
 
+(* The coefficient streams of a compiled statement: one per tap, and
+   the bias. *)
+let compiled_streams pattern =
+  Pattern.tap_count pattern
+  + Option.fold ~none:0 ~some:(fun _ -> 1) (Pattern.bias pattern)
+
 (* The resolve step every request takes before the driver: check the
    input, look up the cache, rebind, choose the backend and get the
    kernel or the plan.  Every input error — an unbound array, a
    mis-shaped array, a grid that does not divide over the node grid, a
    border wider than the subgrid — is refused here, before the cache
    is touched, so neither the driver nor the guard ladder ever sees
-   one.  [fft] (false for batches, which are always compiled) admits
-   the transform path: under it the planner prices both backends
-   (ties to compiled; a stencil the compiler rejects falls through to
-   the transform), and a pattern with spatially-varying coefficients —
-   not a convolution — is served by its compiled plan when one exists.
-   Raises [Finding.Failed] when a fresh transform plan fails its proof
-   and there is no compiled plan to fall back on. *)
+   one; so are regions larger than the node memory left to the
+   backend's arena, once the backend is known.  [fft] (false for
+   batches, which are always compiled) admits the transform path:
+   under it the planner prices both backends (ties to compiled; a
+   stencil the compiler rejects falls through to the transform), and a
+   pattern with spatially-varying coefficients — not a convolution —
+   is served by its compiled plan when one exists, as is one whose
+   regions do not fit above the standing arena.  Raises
+   [Finding.Failed] when a fresh transform plan fails its proof and
+   there is no compiled plan to fall back on. *)
 let resolve (t : t) ~fft pattern env =
   let fp = Fingerprint.pattern pattern in
   let refuse e =
     warn_rejection fp e;
     Error (fp, e)
   in
-  match
+  (* The compiled statement runs on the standing arena, the transform
+     on a transient arena above it, without coefficient streams. *)
+  let fits arena ~streams =
     Outcome.checked (fun () ->
-        Exec.check t.config [ Ccc_stencil.Multi.of_pattern pattern ] env)
-  with
+        Exec.check arena [ Ccc_stencil.Multi.of_pattern pattern ] ~streams env)
+  in
+  let streams = compiled_streams pattern in
+  match fits t.arena ~streams:(if fft then 0 else streams) with
   | Error e -> refuse e
   | Ok (sub_rows, sub_cols) -> (
       let entry = lookup_entry t ~fp pattern in
       let compiled = rebound entry pattern in
       let on_compiled prior =
         match compiled with
-        | Some (c, k) -> Ok { fp; entry; backend = On_compiled (c, k); prior }
+        | Some (c, k) -> (
+            match fits t.arena ~streams with
+            | Ok _ -> Ok { fp; entry; backend = On_compiled (c, k); prior }
+            | Error e -> refuse e)
         | None -> refuse (Outcome.Resource_error (rejections_of entry))
       in
       let choice =
@@ -458,16 +474,20 @@ let resolve (t : t) ~fft pattern env =
       match choice with
       | `Compiled -> on_compiled []
       | `Fft -> (
-          match
-            fft_plan_for t entry pattern
-              ~rows:(sub_rows * t.config.Config.node_rows)
-              ~cols:(sub_cols * t.config.Config.node_cols)
-              env
-          with
-          | plan -> Ok { fp; entry; backend = On_fft plan; prior = [] }
-          | exception Fft.Varying _ -> on_compiled []
-          | exception (Finding.Failed fs as failed) ->
-              if Option.is_none compiled then raise failed else on_compiled fs))
+          match fits (Exec.Arena.transient t.machine) ~streams:0 with
+          | Error _ -> on_compiled []
+          | Ok _ -> (
+              match
+                fft_plan_for t entry pattern
+                  ~rows:(sub_rows * t.config.Config.node_rows)
+                  ~cols:(sub_cols * t.config.Config.node_cols)
+                  env
+              with
+              | plan -> Ok { fp; entry; backend = On_fft plan; prior = [] }
+              | exception Fft.Varying _ -> on_compiled []
+              | exception (Finding.Failed fs as failed) ->
+                  if Option.is_none compiled then raise failed
+                  else on_compiled fs)))
 
 let statement pattern = function
   | On_compiled (c, k) -> Exec.compiled ~kernel:k c
@@ -685,15 +705,29 @@ let run_batch ?mode t patterns env =
             | Ok r -> resolve_all (statement p r.backend :: acc) rest
             | Error (_, e) -> Error e)
       in
+      let fits () =
+        Outcome.checked (fun () ->
+            Exec.check t.arena
+              (List.map Ccc_stencil.Multi.of_pattern patterns)
+              ~streams:
+                (List.fold_left (fun acc p -> max acc (compiled_streams p)) 0
+                   patterns)
+              env)
+      in
       match resolve_all [] patterns with
       | Error _ as e -> e
-      | Ok statements ->
-          let batch =
-            Exec.exec ~obs:t.obs ?mode ~pool:t.pool t.arena statements env
-          in
-          Metrics.Counter.incr t.batches;
-          record t batch.Exec.batch_stats;
-          Ok batch)
+      | Ok statements -> (
+          match fits () with
+          | Error e ->
+              warn_rejection (Fingerprint.pattern (List.hd patterns)) e;
+              Error e
+          | Ok _ ->
+              let batch =
+                Exec.exec ~obs:t.obs ?mode ~pool:t.pool t.arena statements env
+              in
+              Metrics.Counter.incr t.batches;
+              record t batch.Exec.batch_stats;
+              Ok batch))
 
 let run_batch_statements ?mode t sources env =
   let rec recognize_all acc = function

@@ -25,8 +25,9 @@
     cache looked up, the plans rebound to the request's names, the
     backend chosen and the kernel or transform plan fetched.  Input
     errors are refused there as {!Outcome.reject} values, never as
-    escaping exceptions: an unbound or mis-shaped array, and a grid
-    that does not divide over the node grid, as [Parse_error]; a
+    escaping exceptions: an unbound or mis-shaped array, a grid that
+    does not divide over the node grid, and regions larger than the
+    node memory left to the engine's arena, as [Parse_error]; a
     border wider than the per-node subgrid as [Too_small]. *)
 
 type t

@@ -72,10 +72,11 @@ val shed : ?fingerprint:string -> shed -> t
 val checked : (unit -> 'a) -> ('a, reject) result
 (** [checked f] runs [f] and answers the input errors of the run-time
     driver's check ({!Ccc_runtime.Exec.check}) as refusals: an
-    unbound array, arrays of different shapes, and a grid that does
-    not divide over the node grid as [Parse_error]; a border wider
-    than the per-node subgrid as [Too_small].  Other exceptions pass
-    through. *)
+    unbound array, arrays of different shapes, a grid that does not
+    divide over the node grid, and regions that do not fit the node
+    memory the arena can still allocate as [Parse_error]; a border
+    wider than the per-node subgrid as [Too_small].  Other exceptions
+    pass through. *)
 
 (** {1 Accessors} *)
 

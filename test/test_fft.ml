@@ -268,6 +268,27 @@ let test_width8_fallthrough () =
   check_int "both served by the transform path" 2 s.Engine.fft_runs;
   check_int "one plan per pattern" 2 s.Engine.fft_builds
 
+(* A request only the transform serves, whose regions exceed the node
+   memory: refused as an input error before the transient arena is
+   built, and no fault for the guard ladder. *)
+let test_oversize_transform_refused () =
+  let e =
+    Engine.create
+      ~settings:{ Engine.default_settings with memory_words = Some 1000 }
+      config
+  in
+  Fun.protect ~finally:(fun () -> Engine.shutdown e) @@ fun () ->
+  let p = gauss 9 2.0 in
+  let env = uniform_env_for ~rows:64 ~cols:64 p in
+  (match Engine.run e p env with
+  | Error (Outcome.Parse_error _) -> ()
+  | Error err -> Alcotest.failf "run: %s" (Outcome.reject_to_string err)
+  | Ok _ -> Alcotest.fail "run: a 1088-word program ran in 1000 words");
+  (match Engine.run_guarded e p env with
+  | Outcome.Refused { reject = Outcome.Parse_error _; _ } -> ()
+  | o -> Alcotest.failf "run_guarded: %s" (Outcome.to_string o));
+  check_int "no transform ran" 0 (Engine.stats e).Engine.fft_runs
+
 (* --- the planner prices what the run pays --------------------------- *)
 
 (* A circular 5x5 scalar Gaussian at 64x64 on the default machine: the
@@ -324,6 +345,8 @@ let () =
             test_engine_cache_hit;
           Alcotest.test_case "width-8 rejections complete via transform" `Quick
             test_width8_fallthrough;
+          Alcotest.test_case "a transform larger than node memory is refused"
+            `Quick test_oversize_transform_refused;
         ] );
       ( "planner",
         [

@@ -36,45 +36,12 @@ let config = Ccc.Config.default
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 
-let gen_offset =
-  Gen.map2 (fun drow dcol -> Offset.make ~drow ~dcol)
-    (Gen.int_range (-2) 2) (Gen.int_range (-2) 2)
-
-let gen_offsets =
-  (* 1..7 distinct offsets. *)
-  Gen.map
-    (fun offs ->
-      List.sort_uniq Offset.compare offs)
-    (Gen.list_size (Gen.int_range 1 7) gen_offset)
-
-let gen_coeff index =
-  Gen.oneof
-    [
-      Gen.return (Coeff.Array (Printf.sprintf "C%d" (index + 1)));
-      Gen.map (fun v -> Coeff.Scalar v)
-        (Gen.map (fun i -> float_of_int i /. 4.0) (Gen.int_range (-8) 8));
-      Gen.return Coeff.One;
-    ]
-
-let gen_boundary =
-  Gen.oneof
-    [
-      Gen.return Boundary.Circular;
-      Gen.map (fun i -> Boundary.End_off (float_of_int i /. 2.0))
-        (Gen.int_range (-2) 2);
-    ]
-
-let gen_pattern =
-  let open Gen in
-  gen_offsets >>= fun offsets ->
-  gen_boundary >>= fun boundary ->
-  Gen.flatten_l (List.mapi (fun i _ -> gen_coeff i) offsets) >>= fun coeffs ->
-  Gen.bool >>= fun with_bias ->
-  let taps = List.map2 Tap.make offsets coeffs in
-  let bias = if with_bias then Some (Coeff.Array "BB") else None in
-  return (Pattern.create ?bias ~boundary taps)
-
-let print_pattern p = Format.asprintf "%a" Pattern.pp p
+let gen_offset = Tutil.gen_offset
+let gen_offsets = Tutil.gen_offsets
+let gen_coeff = Tutil.gen_coeff
+let gen_boundary = Tutil.gen_boundary
+let gen_pattern = Tutil.gen_pattern
+let print_pattern = Tutil.print_pattern
 
 (* Deterministic data environment for a generated pattern. *)
 let env_of_pattern ~rows ~cols p = Tutil.env_for ~rows ~cols p
@@ -225,36 +192,8 @@ let prop_useful_flops_formula =
       let bias = match Pattern.bias p with Some _ -> 1 | None -> 0 in
       Pattern.useful_flops_per_point p = (2 * taps) + bias - 1)
 
-(* Multi-source generator: 2 or 3 sources, each with 1..3 distinct
-   taps within the +-2 window. *)
-let gen_multi =
-  let open Gen in
-  int_range 2 3 >>= fun nsources ->
-  gen_boundary >>= fun boundary ->
-  let gen_source_offsets =
-    map (List.sort_uniq Offset.compare) (list_size (int_range 1 3) gen_offset)
-  in
-  flatten_l (List.init nsources (fun _ -> gen_source_offsets))
-  >>= fun per_source ->
-  let taps =
-    List.concat
-      (List.mapi
-         (fun src offs ->
-           List.mapi
-             (fun i off ->
-               {
-                 Ccc.Multi.source = src;
-                 tap =
-                   Tap.make off
-                     (Coeff.Array (Printf.sprintf "K%d_%d" src i));
-               })
-             offs)
-         per_source)
-  in
-  let sources = List.init nsources (fun i -> Printf.sprintf "S%d" i) in
-  return (Ccc.Multi.create ~boundary ~sources taps)
-
-let print_multi m = Format.asprintf "%a" Ccc.Multi.pp m
+let gen_multi = Tutil.gen_multi
+let print_multi = Tutil.print_multi
 
 let prop_fused_matches_reference =
   Q.Test.make ~name:"fused execution = multi-source reference" ~count:80

@@ -701,6 +701,26 @@ let test_malformed_batch () =
     (wait_within t (submit p));
   Serve.shutdown t
 
+(* A window that batches two requests whose regions exceed the node
+   memory: the batch and both fallback runs are refused up front, the
+   shard's worker survives, and a later well-formed request completes. *)
+let test_oversize_window () =
+  let p = cross5 () and sq = Pattern.square9 () in
+  let big = env_for ~rows:128 ~cols:128 sq in
+  let small = env_for ~rows:32 ~cols:32 p in
+  let settings = { Engine.default_settings with memory_words = Some 4096 } in
+  let t = Serve.create ~settings ~shards:1 ~paused:true config in
+  let submit p env =
+    Serve.submit t (Request.v ~tenant:"a" ~env (Request.Pattern p))
+  in
+  let tp = submit p big and tsq = submit sq big in
+  Serve.resume t;
+  expect_refused "cross5 at 128x128" (wait_within t tp);
+  expect_refused "square9 at 128x128" (wait_within t tsq);
+  expect_completed "request submitted afterwards" p small
+    (wait_within t (submit p small));
+  Serve.shutdown t
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -763,5 +783,7 @@ let () =
             test_malformed_singletons;
           Alcotest.test_case "a malformed batch member is refused" `Quick
             test_malformed_batch;
+          Alcotest.test_case "an oversize window is refused" `Quick
+            test_oversize_window;
         ] );
     ]

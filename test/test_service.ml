@@ -536,6 +536,56 @@ let test_input_errors_refused () =
     (Ccc.apply config (compile_exn p) env).Exec.output
     (ok_exn (Engine.run engine p env)).Exec.output
 
+
+(* A request whose regions exceed the node memory is an input error
+   too: refused before anything is allocated, never seen by the guard
+   ladder. *)
+let test_oversize_refused () =
+  let p = cross5 () in
+  let settings = { Engine.default_settings with memory_words = Some 4096 } in
+  let engine = Engine.create ~settings config in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  let env = env_for ~rows:128 ~cols:128 (Pattern.square9 ()) in
+  let refused what = function
+    | Error (Outcome.Parse_error m) ->
+        let needle = "words of node memory" in
+        let found = ref false in
+        for i = 0 to String.length m - String.length needle do
+          if String.sub m i (String.length needle) = needle then found := true
+        done;
+        if not !found then Alcotest.failf "%s: refused for %s" what m
+    | r -> expect_parse_error what None r
+  in
+  refused "Engine.run" (Engine.run engine p env);
+  refused "Engine.run_guarded"
+    (match Engine.run_guarded engine p env with
+    | Outcome.Refused { reject; _ } -> Error reject
+    | o -> Alcotest.failf "run_guarded gave %s" (Outcome.to_string o));
+  refused "Engine.run_batch"
+    (Engine.run_batch engine [ p; Pattern.square9 () ] env);
+  (* one node holding a 400x400 grid: its seven arrays and the halo
+     exceed the default node memory *)
+  refused "Ccc.run"
+    (Ccc.run
+       (Ccc.Config.with_nodes ~rows:1 ~cols:1 config)
+       (compile_exn p) (env_for ~rows:400 ~cols:400 p));
+  let counter name =
+    Ccc.Metrics.Counter.value
+      (Ccc.Metrics.counter (Engine.metrics engine) name)
+  in
+  Alcotest.(check (list int))
+    "guard detections, retries, recompiles" [ 0; 0; 0 ]
+    (List.map counter
+       [
+         "engine.guard.detections";
+         "engine.guard.retries";
+         "engine.guard.recompiles";
+       ]);
+  let small = env_for ~rows:32 ~cols:32 p in
+  check_bit_identical "a well-formed request after the refusals"
+    (Ccc.apply config (compile_exn p) small).Exec.output
+    (ok_exn (Engine.run engine p small)).Exec.output
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -584,5 +634,7 @@ let () =
         [
           Alcotest.test_case "malformed environments are refused" `Quick
             test_input_errors_refused;
+          Alcotest.test_case "requests larger than node memory are refused"
+            `Quick test_oversize_refused;
         ] );
     ]

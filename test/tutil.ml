@@ -102,3 +102,84 @@ let bit_differences a b =
     done
   done;
   !diffs
+
+(* Generators of random in-budget stencils, shared by the property
+   suites: 1..7 distinct taps within the +-2 window, array, scalar and
+   unit coefficients, either boundary, with or without a bias. *)
+
+module Gen = QCheck2.Gen
+
+let gen_offset =
+  Gen.map2 (fun drow dcol -> Ccc.Offset.make ~drow ~dcol)
+    (Gen.int_range (-2) 2) (Gen.int_range (-2) 2)
+
+let gen_offsets =
+  (* 1..7 distinct offsets. *)
+  Gen.map
+    (fun offs ->
+      List.sort_uniq Ccc.Offset.compare offs)
+    (Gen.list_size (Gen.int_range 1 7) gen_offset)
+
+let gen_coeff index =
+  Gen.oneof
+    [
+      Gen.return (Ccc.Coeff.Array (Printf.sprintf "C%d" (index + 1)));
+      Gen.map (fun v -> Ccc.Coeff.Scalar v)
+        (Gen.map (fun i -> float_of_int i /. 4.0) (Gen.int_range (-8) 8));
+      Gen.return Ccc.Coeff.One;
+    ]
+
+let gen_boundary =
+  Gen.oneof
+    [
+      Gen.return Ccc.Boundary.Circular;
+      Gen.map (fun i -> Ccc.Boundary.End_off (float_of_int i /. 2.0))
+        (Gen.int_range (-2) 2);
+    ]
+
+let gen_pattern =
+  let open Gen in
+  gen_offsets >>= fun offsets ->
+  gen_boundary >>= fun boundary ->
+  Gen.flatten_l (List.mapi (fun i _ -> gen_coeff i) offsets) >>= fun coeffs ->
+  Gen.bool >>= fun with_bias ->
+  let taps = List.map2 Ccc.Tap.make offsets coeffs in
+  let bias = if with_bias then Some (Ccc.Coeff.Array "BB") else None in
+  return (Ccc.Pattern.create ?bias ~boundary taps)
+
+let print_pattern p = Format.asprintf "%a" Ccc.Pattern.pp p
+
+(* Multi-source generator: 2 or 3 sources, each with 1..3 distinct
+   taps within the +-2 window; [with_bias] draws whether the statement
+   adds a bias array. *)
+let gen_multi_biased with_bias =
+  let open Gen in
+  int_range 2 3 >>= fun nsources ->
+  gen_boundary >>= fun boundary ->
+  let gen_source_offsets =
+    map (List.sort_uniq Ccc.Offset.compare) (list_size (int_range 1 3) gen_offset)
+  in
+  flatten_l (List.init nsources (fun _ -> gen_source_offsets))
+  >>= fun per_source ->
+  with_bias >>= fun biased ->
+  let taps =
+    List.concat
+      (List.mapi
+         (fun src offs ->
+           List.mapi
+             (fun i off ->
+               {
+                 Ccc.Multi.source = src;
+                 tap =
+                   Ccc.Tap.make off
+                     (Ccc.Coeff.Array (Printf.sprintf "K%d_%d" src i));
+               })
+             offs)
+         per_source)
+  in
+  let sources = List.init nsources (fun i -> Printf.sprintf "S%d" i) in
+  let bias = if biased then Some (Ccc.Coeff.Array "BB") else None in
+  return (Ccc.Multi.create ?bias ~boundary ~sources taps)
+
+let gen_multi = gen_multi_biased (Gen.return false)
+let print_multi m = Format.asprintf "%a" Ccc.Multi.pp m
