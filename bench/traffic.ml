@@ -96,8 +96,7 @@ let run_level ~offered_rps ~n =
      keeps the overload level's backlog (and so its tail latency)
      finite -- the excess is shed with a structured outcome instead of
      queued past its deadline. *)
-  let settings = { Ccc.Engine.default_settings with queue_depth = 32 } in
-  let t = Serve.create ~settings ~shards:2 ~clock:now_us config in
+  let t = Serve.create ~queue_depth:32 ~shards:2 ~clock:now_us config in
   (* Warm-up: one deadline-free request per stencil compiles every
      plan into the shard caches, so the paced phase measures the
      steady state rather than the first-window compile storm. *)

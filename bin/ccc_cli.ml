@@ -670,19 +670,21 @@ let batch_cmd =
     Format.printf "batch of %d statements:@\n%a@." (List.length patterns)
       Ccc.Stats.pp bs;
     (* What the same statements would have cost as independent calls:
-       one halo exchange and one front-end launch each. *)
+       one halo exchange and one front-end launch each, plus each
+       statement's own communication (a transform's transposes). *)
     let sub_rows = rows / config.Ccc.Config.node_rows in
     let sub_cols = cols / config.Ccc.Config.node_cols in
     let oneshot_comm =
-      List.fold_left
-        (fun acc p ->
+      List.fold_left2
+        (fun acc p (r : Ccc.Exec.result) ->
           acc
           + Ccc.Halo.cycles_model ~primitive:Ccc.Halo.Node_level ~sub_rows
               ~sub_cols
               ~pad:(Ccc.Pattern.max_border p)
               ~corners:(Ccc.Pattern.needs_corners p)
-              config)
-        0 patterns
+              config
+          + r.Ccc.Exec.stats.Ccc.Stats.comm_cycles)
+        0 patterns batch.Ccc.Exec.batch_results
     in
     let call_s = Ccc.Config.effective_call_s config in
     let oneshot_fe =
@@ -724,8 +726,9 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Execute several bare assignment statements (one per line, '&' \
-          continues) over the same source array through the persistent \
-          engine: one halo exchange, one front-end launch, cached plans")
+          continues) as one program through the persistent engine: one \
+          halo exchange per source array, one front-end launch, cached \
+          plans")
     Term.(
       const run $ file_arg $ nodes_arg $ tuned_flag $ rows_arg $ cols_arg
       $ repeat_arg $ simulate_flag $ stats_flag $ jobs_arg $ trace_arg)
@@ -1012,7 +1015,7 @@ let race_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve: the multi-tenant scheduler on a canned, deterministic trace *)
 
-(* The canned demo session, shared by serve --demo, stats and top:
+(* The canned demo session, shared by serve --demo and stats:
    every request is submitted while the scheduler is paused, so each
    shard's one dispatch window is a pure function of the trace; the
    injected clock counts calls (no wall time reaches any output).
@@ -1096,7 +1099,7 @@ let serve_demo_session ~tracing config =
       requests tickets
   in
   Ccc.Serve.shutdown t;
-  (t, obs, rows)
+  (t, rows)
 
 let serve_cmd =
   let run nodes tuned demo trace =
@@ -1106,7 +1109,7 @@ let serve_cmd =
       exit 2
     end;
     let config = or_die (config_of ~nodes ~tuned) in
-    let t, _obs, rows = serve_demo_session ~tracing:(trace <> None) config in
+    let t, rows = serve_demo_session ~tracing:(trace <> None) config in
     List.iter
       (fun (tenant, label, (r : Ccc.Serve.response)) ->
         if r.Ccc.Serve.window >= 0 then
@@ -1159,7 +1162,7 @@ let serve_cmd =
     Term.(const run $ nodes_arg $ tuned_flag $ demo_flag $ serve_trace_arg)
 
 (* ------------------------------------------------------------------ *)
-(* stats / top: the serve-plane metrics surface over the demo session *)
+(* stats: the serve-plane metrics surface over the demo session *)
 
 let stats_cmd =
   let run nodes tuned demo =
@@ -1169,7 +1172,7 @@ let stats_cmd =
       exit 2
     end;
     let config = or_die (config_of ~nodes ~tuned) in
-    let t, _obs, _rows = serve_demo_session ~tracing:false config in
+    let t, _rows = serve_demo_session ~tracing:false config in
     print_string (Ccc.Serve.prometheus t)
   in
   let demo_flag =
@@ -1186,68 +1189,6 @@ let stats_cmd =
           histograms with log-spaced buckets, and per-shard engine \
           registries labeled shard=\"N\"")
     Term.(const run $ nodes_arg $ tuned_flag $ demo_flag)
-
-let top_cmd =
-  let run nodes tuned once =
-    if not once then begin
-      prerr_endline
-        "ccc top: pass --once (there is no live scheduler to watch)";
-      exit 2
-    end;
-    let config = or_die (config_of ~nodes ~tuned) in
-    let t, obs, _rows = serve_demo_session ~tracing:false config in
-    let s = Ccc.Serve.stats t in
-    (* per-tenant families live in the scheduler's registry under
-       serve.tenant.<name>.<field>; handles are found by name *)
-    let mtr = obs.Ccc.Obs.metrics in
-    let tenant_counter name field =
-      Ccc.Metrics.Counter.value
-        (Ccc.Metrics.counter mtr ("serve.tenant." ^ name ^ "." ^ field))
-    in
-    let tenant_gauge name field =
-      Ccc.Metrics.Gauge.value
-        (Ccc.Metrics.gauge mtr ("serve.tenant." ^ name ^ "." ^ field))
-    in
-    Printf.printf "serve top — %d shards, window %d, queue depth %d\n"
-      s.Ccc.Serve.shards_ s.Ccc.Serve.max_batch s.Ccc.Serve.queue_depth;
-    Printf.printf
-      "outcomes   %d completed  %d degraded  %d refused  %d shed  (%d windows)\n"
-      s.Ccc.Serve.completed s.Ccc.Serve.degraded s.Ccc.Serve.refused
-      s.Ccc.Serve.shed s.Ccc.Serve.windows;
-    let q label = function
-      | None -> ()
-      | Some (p50, p95, p99) ->
-          Printf.printf "latency    %s p50 %.0f  p95 %.0f  p99 %.0f us\n"
-            label p50 p95 p99
-    in
-    q "queued " s.Ccc.Serve.queued_q;
-    q "service" s.Ccc.Serve.service_q;
-    Printf.printf "%-8s %9s %8s %6s %6s %8s %7s\n" "TENANT" "ADMITTED"
-      "SERVED" "COAL" "SHED" "DLMISS" "DEPTH";
-    List.iter
-      (fun (name, served) ->
-        Printf.printf "%-8s %9d %8d %6d %6d %8d %7.0f\n" name
-          (tenant_counter name "admitted")
-          served
-          (tenant_counter name "coalesced")
-          (tenant_counter name "shed")
-          (tenant_counter name "deadline_missed")
-          (tenant_gauge name "queue_depth"))
-      s.Ccc.Serve.tenants
-  in
-  let once_flag =
-    Arg.(value & flag
-         & info [ "once" ]
-             ~doc:"Render one snapshot of the canned demo session and \
-                   exit (the only mode without a live scheduler).")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "A per-tenant SLO snapshot of a serve session: outcome counts, \
-          latency quantiles, and one row per tenant (admitted, served, \
-          coalesced, shed, deadline-missed, live queue depth)")
-    Term.(const run $ nodes_arg $ tuned_flag $ once_flag)
 
 (* ------------------------------------------------------------------ *)
 (* gallery *)
@@ -1278,4 +1219,4 @@ let () =
        (Cmd.group info
           [ compile_cmd; run_cmd; estimate_cmd; trace_cmd; profile_cmd;
             program_cmd; lint_cmd; batch_cmd; conform_cmd; race_cmd;
-            serve_cmd; stats_cmd; top_cmd; gallery_cmd ]))
+            serve_cmd; stats_cmd; gallery_cmd ]))

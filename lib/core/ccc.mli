@@ -31,7 +31,10 @@
 
     {[
       let engine = Ccc.Engine.create Ccc.Config.default in
-      match Ccc.Engine.run_statement engine stmt env with
+      match
+        Result.bind (Ccc.Engine.recognize_statement stmt) (fun pattern ->
+            Ccc.Engine.run engine pattern env)
+      with
       | Ok { Ccc.Exec.output; stats } -> ...
       | Error e -> prerr_endline (Ccc.Outcome.reject_to_string e)
     ]}

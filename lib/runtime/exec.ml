@@ -17,6 +17,7 @@ type result = { output : Grid.t; stats : Stats.t }
 type batch = { batch_results : result list; batch_stats : Stats.t }
 
 exception Too_small of string
+exception Invalid_program of string
 
 (* The chaos seam: callbacks fired between (and inside) the runtime
    phases, carrying just enough machine state for an injector to reach
@@ -99,7 +100,7 @@ type source = {
 }
 
 let sources_of (taps : Multi.t list) =
-  if taps = [] then invalid_arg "Exec: a program needs at least one statement";
+  if taps = [] then raise (Invalid_program "a batch needs at least one statement");
   let reads =
     List.concat_map
       (fun m ->
@@ -119,11 +120,10 @@ let sources_of (taps : Multi.t list) =
     | None -> r :: acc
     | Some s ->
         if not (Boundary.equal s.boundary r.boundary) then
-          invalid_arg
-            (Printf.sprintf
-               "Exec: statements read %s with different boundary semantics; \
-                a source shares one halo exchange"
-               r.name);
+          raise
+            (Invalid_program
+               "statements mix boundary semantics; a batch shares one halo \
+                exchange");
         List.map
           (fun s ->
             if s.name = r.name then

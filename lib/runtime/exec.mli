@@ -5,8 +5,8 @@
     There is one driver, {!exec}, and it runs a {!program}: source
     arrays with their borders, plus statements over them.  A one-shot
     Fortran statement ({!run}) is a one-statement program on a
-    transient arena; the engine's batch of statements over one source
-    array is a program of n statements behind one halo exchange; a
+    transient arena; the engine's batch is a program of n statements,
+    compiled or transform, behind one halo exchange per source array; a
     fused multi-source statement is a program with several sources;
     the transform path is a statement whose plan is an {!Fft} plan
     instead of microcode.  The driver's statistics are the output of
@@ -61,6 +61,11 @@ type batch = { batch_results : result list; batch_stats : Stats.t }
 exception Too_small of string
 (** The subgrid cannot accommodate the stencil (border width exceeds a
     subgrid side). *)
+
+exception Invalid_program of string
+(** The statements cannot run as one program: there are none, or two
+    of them read one source array under different boundary semantics
+    (an array is exchanged once, under one boundary). *)
 
 (** {1 Chaos hooks}
 
@@ -127,7 +132,7 @@ type program = statement list
     statement reads a diagonal (sound for the others, which never read
     corners).  Every statement reading a source must use the same
     boundary semantics; the driver and the price walk raise
-    [Invalid_argument] otherwise, and on an empty program. *)
+    {!Invalid_program} otherwise, and on an empty program. *)
 
 val compiled : ?kernel:Kernel.t -> Ccc_compiler.Compile.t -> statement
 (** A compiled single-source statement.  [kernel] supplies a
@@ -185,8 +190,9 @@ end
 
 val check :
   Arena.t -> Ccc_stencil.Multi.t list -> streams:int -> Reference.env -> int * int
-(** The driver's input check, run before anything is allocated:
-    every array each statement reads is bound ({!Reference.Unbound}
+(** {!exec}'s input check, run before anything is allocated: the
+    statements form a program ({!Invalid_program} otherwise), every
+    array each statement reads is bound ({!Reference.Unbound}
     otherwise) and has the shape of the program's first source, which
     must divide over the node grid ({!Reference.Shape_mismatch}
     otherwise), every source's border fits the per-node subgrid

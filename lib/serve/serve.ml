@@ -26,6 +26,7 @@ module Expo = Ccc_obs.Expo
 module Engine = Ccc_service.Engine
 module Outcome = Ccc_service.Outcome
 module Fingerprint = Ccc_service.Fingerprint
+module Finding = Ccc_analysis.Finding
 module Pattern = Ccc_stencil.Pattern
 module Exec = Ccc_runtime.Exec
 
@@ -85,6 +86,8 @@ type t = {
   settings : Engine.settings;
   nshards : int;
   max_batch : int;
+  queue_depth : int;  (* per-tenant admission bound *)
+  tenant_limit : int;  (* tenant-table bound *)
   clock : unit -> float;
   obs : Obs.t;
   suid : int;  (* probe-slot namespace: see [Access] registry *)
@@ -216,12 +219,13 @@ let finish t (j : job) (r : response) =
 (* Window execution (no scheduler lock held).                          *)
 
 (* Serve one dispatch window: re-check deadlines, group jobs that can
-   share an execution (same physical env, source variable, boundary),
-   collapse structurally equal patterns into one run, and execute each
-   group — several distinct patterns as one [run_batch] (one halo
-   exchange, one front-end launch), a singleton under the guarded
-   ladder.  A batch that fails as a batch falls back to per-pattern
-   guarded runs. *)
+   share an execution (same physical env and boundary), collapse
+   structurally equal patterns into one run, and execute each group —
+   several distinct patterns as one unguarded [run_batch] (one halo
+   exchange per source array, one front-end launch), a singleton under
+   the guarded ladder.  A batch the engine refuses, or whose fresh
+   transform plan fails its proof, falls back to per-pattern guarded
+   runs, so no member's failure kills the worker. *)
 let execute t engine s w jobs =
   let now0 = t.clock () in
   let expired, live =
@@ -257,19 +261,14 @@ let execute t engine s w jobs =
   let groups = ref [] in
   List.iter
     (fun j ->
-      let sv = Pattern.source_var j.pattern in
       let b = Pattern.boundary j.pattern in
-      match
-        List.find_opt
-          (fun (e, sv', b', _) -> e == j.env && String.equal sv' sv && b' = b)
-          !groups
-      with
-      | Some (_, _, _, members) -> members := j :: !members
-      | None -> groups := !groups @ [ (j.env, sv, b, ref [ j ]) ])
+      match List.find_opt (fun (e, b', _) -> e == j.env && b' = b) !groups with
+      | Some (_, _, members) -> members := j :: !members
+      | None -> groups := !groups @ [ (j.env, b, ref [ j ]) ])
     live;
   let served =
     List.concat_map
-      (fun (env, _, _, members) ->
+      (fun (env, _, members) ->
         let members = List.rev !members in
         let classes = ref [] in
         List.iter
@@ -297,21 +296,24 @@ let execute t engine s w jobs =
           | [ (rep, _) ] -> [ (Engine.run_guarded engine rep.pattern env, 1) ]
           | _ -> (
               let patterns = List.map (fun (rep, _) -> rep.pattern) classes in
+              let fall_back why =
+                Log.warn (fun m ->
+                    m "shard %d window %d: batch of %d fell back: %s" s w
+                      nclasses why);
+                List.map
+                  (fun (rep, _) -> (Engine.run_guarded engine rep.pattern env, 1))
+                  classes
+              in
               match Engine.run_batch engine patterns env with
               | Ok batch ->
                   List.map2
                     (fun (rep, _) r ->
                       (Outcome.completed ~fingerprint:rep.fp r, nclasses))
                     classes batch.Exec.batch_results
-              | Error e ->
-                  Log.warn (fun m ->
-                      m "shard %d window %d: batch of %d fell back: %s" s w
-                        nclasses
-                        (Outcome.reject_to_string e));
-                  List.map
-                    (fun (rep, _) ->
-                      (Engine.run_guarded engine rep.pattern env, 1))
-                    classes)
+              | Error e -> fall_back (Outcome.reject_to_string e)
+              | exception Finding.Failed fs ->
+                  fall_back
+                    (String.concat "; " (List.map Finding.to_string fs)))
         in
         let done_us = t.clock () in
         List.concat
@@ -439,9 +441,12 @@ let worker t s () =
 (* Lifecycle.                                                          *)
 
 let create ?obs ?(settings = Engine.default_settings) ?(shards = 2)
-    ?(max_batch = 16) ?(clock = default_clock) ?(paused = false) config =
+    ?(max_batch = 16) ?(queue_depth = 64) ?(tenants = 16)
+    ?(clock = default_clock) ?(paused = false) config =
   if shards < 1 then invalid_arg "Serve.create: shards must be >= 1";
   if max_batch < 1 then invalid_arg "Serve.create: max_batch must be >= 1";
+  if queue_depth < 1 then invalid_arg "Serve.create: queue_depth must be >= 1";
+  if tenants < 1 then invalid_arg "Serve.create: tenants must be >= 1";
   let obs =
     match obs with
     | Some o -> o
@@ -454,6 +459,8 @@ let create ?obs ?(settings = Engine.default_settings) ?(shards = 2)
       settings;
       nshards = shards;
       max_batch;
+      queue_depth;
+      tenant_limit = tenants;
       clock;
       obs;
       suid = Atomic.fetch_and_add suids 1;
@@ -613,14 +620,13 @@ let submit t (req : Request.t) =
         | _ -> (
             let existing = Hashtbl.find_opt t.tenants_tbl req.Request.tenant in
             match existing with
-            | None when Hashtbl.length t.tenants_tbl >= t.settings.Engine.tenants
-              ->
+            | None when Hashtbl.length t.tenants_tbl >= t.tenant_limit ->
                 shed
                   (Outcome.Overloaded
                      {
                        tenant = req.Request.tenant;
                        queued = Hashtbl.length t.tenants_tbl;
-                       limit = t.settings.Engine.tenants;
+                       limit = t.tenant_limit;
                      })
             | _ ->
                 let q =
@@ -653,13 +659,13 @@ let submit t (req : Request.t) =
                       t.rotation <- t.rotation @ [ req.Request.tenant ];
                       q
                 in
-                if q.queued >= t.settings.Engine.queue_depth then
+                if q.queued >= t.queue_depth then
                   shed
                     (Outcome.Overloaded
                        {
                          tenant = req.Request.tenant;
                          queued = q.queued;
-                         limit = t.settings.Engine.queue_depth;
+                         limit = t.queue_depth;
                        })
                 else begin
                   Queue.add
@@ -773,8 +779,8 @@ let stats t =
     {
       shards_ = t.nshards;
       max_batch = t.max_batch;
-      queue_depth = t.settings.Engine.queue_depth;
-      tenant_limit = t.settings.Engine.tenants;
+      queue_depth = t.queue_depth;
+      tenant_limit = t.tenant_limit;
       tenants;
       admitted = Metrics.Counter.value t.admitted_c;
       coalesced = Metrics.Counter.value t.coalesced_c;

@@ -17,23 +17,27 @@
     a domain boundary.
 
     {b Coalescing.}  Within a dispatch window a worker groups jobs
-    that share a (physically equal) environment, source variable and
-    boundary.  Structurally equal patterns in a group collapse into
+    that share a (physically equal) environment and boundary
+    semantics.  Structurally equal patterns in a group collapse into
     one execution whose outcome every coalesced requester receives;
     two or more {e distinct} patterns in a group run as a single
-    {!Ccc_service.Engine.run_batch} — one halo exchange, one front-end
-    launch (the section-7 amortization, measured in PR 2 at ~90%
+    {!Ccc_service.Engine.run_batch} — one halo exchange per source
+    array, one front-end launch (the section-7 amortization: ~90%
     communication and ~55% front-end savings for a ten-statement
-    batch).  Fingerprint equality alone is {e not} sufficient to share
+    batch), each statement on the backend it would get alone.  Fingerprint equality alone is {e not} sufficient to share
     a result (a rebind-compatible stencil may name different
     coefficient arrays), so coalescing requires structural equality
     plus the same environment.
 
-    {b Execution primitive.}  Singleton classes run under
-    {!Ccc_service.Engine.run_guarded} — every served request inherits
-    the PR-5 retry/recompile/degrade ladder, so a detected substrate
-    fault degrades rather than escapes.  A batch that fails as a batch
-    falls back to per-pattern guarded runs.
+    {b Execution primitive.}  Singleton classes — a lone request and
+    its coalesced duplicates — run under
+    {!Ccc_service.Engine.run_guarded}: they inherit the
+    retry/recompile/degrade ladder, so a detected substrate fault
+    degrades rather than escapes.  The classes of a multi-class
+    window do {e not}: {!Ccc_service.Engine.run_batch} runs them
+    unguarded, with no halo or output check and no ladder.  A batch
+    the engine refuses, or whose fresh transform plan fails its
+    proof, falls back to per-class guarded runs.
 
     {b Admission and shedding.}  {!submit} never blocks and never
     raises on bad input: it refuses malformed stencils
@@ -41,8 +45,8 @@
     tenant exceeds its queue bound ([Overloaded]), when the deadline
     has already passed ([Deadline_exceeded], re-checked at dispatch),
     or after {!shutdown} ([Shutting_down]).  Per-tenant queues are
-    bounded by {!Ccc_service.Engine.settings}[.queue_depth]; the
-    tenant table itself by [settings.tenants].
+    bounded by {!create}'s [queue_depth]; the tenant table itself by
+    its [tenants].
 
     {b Domain safety.}  One scheduler mutex guards the queues, ticket
     states and key catalog; workers park on a condition variable and
@@ -59,15 +63,20 @@ val create :
   ?settings:Ccc_service.Engine.settings ->
   ?shards:int ->
   ?max_batch:int ->
+  ?queue_depth:int ->
+  ?tenants:int ->
   ?clock:(unit -> float) ->
   ?paused:bool ->
   Ccc_cm2.Config.t ->
   t
 (** Spawn [shards] (default 2) worker domains, each owning one
     resident engine built from [settings]
-    ({!Ccc_service.Engine.default_settings} if omitted; [queue_depth]
-    and [tenants] bound admission here).  [max_batch] (default 16)
-    caps a dispatch window.  [clock] returns microseconds and must be
+    ({!Ccc_service.Engine.default_settings} if omitted).  [max_batch]
+    (default 16) caps a dispatch window.  Admission is bounded by
+    [queue_depth] (default 64) queued requests per tenant and by
+    [tenants] (default 16) distinct tenants; [Invalid_argument] if
+    [shards], [max_batch], [queue_depth] or [tenants] is below 1.
+    [clock] returns microseconds and must be
     safe to call from any domain (default: [Sys.time] scaled, as
     {!Ccc_obs.Trace.create}); inject a fake clock for deterministic
     deadline tests.  [paused] (default false) starts the scheduler
@@ -141,8 +150,8 @@ val peek : t -> ticket -> response option
 type stats = {
   shards_ : int;  (** worker/engine count (identity echo) *)
   max_batch : int;  (** dispatch-window cap (identity echo) *)
-  queue_depth : int;  (** per-tenant admission bound (settings echo) *)
-  tenant_limit : int;  (** tenant-table bound (settings echo) *)
+  queue_depth : int;  (** per-tenant admission bound (identity echo) *)
+  tenant_limit : int;  (** tenant-table bound (identity echo) *)
   tenants : (string * int) list;
       (** per-tenant requests served to completion (any outcome),
           sorted by tenant name *)

@@ -1,7 +1,6 @@
 module Config = Ccc_cm2.Config
 module Machine = Ccc_cm2.Machine
 module Pattern = Ccc_stencil.Pattern
-module Boundary = Ccc_stencil.Boundary
 module Compile = Ccc_compiler.Compile
 module Exec = Ccc_runtime.Exec
 module Fft = Ccc_runtime.Fft
@@ -50,8 +49,6 @@ type settings = {
   capacity : int;
   jobs : int;
   memory_words : int option;
-  queue_depth : int;
-  tenants : int;
   widths : int list option;
       (* multistencil widths offered to the compiler; [None] defers to
          [Compile.candidate_widths] *)
@@ -62,8 +59,6 @@ let default_settings =
     capacity = 32;
     jobs = 1;
     memory_words = None;
-    queue_depth = 64;
-    tenants = 16;
     widths = None;
   }
 
@@ -111,8 +106,6 @@ type t = {
 
 type stats = {
   jobs : int;
-  queue_depth : int;
-  tenants : int;
   hits : int;
   misses : int;
   evictions : int;
@@ -138,8 +131,6 @@ let engine_ids = Atomic.make 0
 
 let create ?obs ?flight ?(settings = default_settings) config =
   if settings.capacity < 1 then invalid_arg "Engine.create: capacity < 1";
-  if settings.queue_depth < 1 then invalid_arg "Engine.create: queue_depth < 1";
-  if settings.tenants < 1 then invalid_arg "Engine.create: tenants < 1";
   let obs =
     match obs with
     | Some o -> o
@@ -195,7 +186,9 @@ let check_owner t who =
       (Finding.Failed
          [
            Finding.makef Finding.Ownership
-             "Engine.%s called from domain %d: the engine (plan cache,               arena, pool) is owned by the domain that created it (%d);               share work through the pool, not the engine handle"
+             "Engine.%s called from domain %d: the engine (plan cache, \
+              arena, pool) is owned by the domain that created it (%d); \
+              share work through the pool, not the engine handle"
              who me t.owner;
          ])
 
@@ -214,8 +207,6 @@ let stats (t : t) : stats =
     (float_of_int (Exec.Arena.rebuilds t.arena));
   {
     jobs = t.settings.jobs;
-    queue_depth = t.settings.queue_depth;
-    tenants = t.settings.tenants;
     hits = Metrics.Counter.value t.hits;
     misses = Metrics.Counter.value t.misses;
     evictions = Metrics.Counter.value t.evictions;
@@ -255,13 +246,13 @@ let stats (t : t) : stats =
    suite pins both tables. *)
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
-    "engine: %d jobs, queue depth %d, %d tenants@\n\
+    "engine: %d jobs@\n\
      plan cache: %d hits, %d misses, %d evictions (%d/%d entries)@\n\
      compiles: %d  runs: %d  batches: %d@\n\
      fft: %d runs, %d builds, %d rebinds@\n\
      arena: %d reuses, %d rebuilds@\n\
      accumulated: comm %d cycles, compute %d cycles, front end %.6f s"
-    s.jobs s.queue_depth s.tenants s.hits s.misses s.evictions s.entries
+    s.jobs s.hits s.misses s.evictions s.entries
     s.capacity s.compiles s.runs s.batches s.fft_runs s.fft_builds
     s.fft_rebinds s.arena_reuses s.arena_rebuilds s.comm_cycles
     s.compute_cycles s.frontend_s;
@@ -368,18 +359,6 @@ let recognize_statement source =
   | exception Ccc_frontend.Parser.Error { line; message } ->
       Error (Outcome.Parse_error (Printf.sprintf "line %d: %s" line message))
 
-let compile_statement t source =
-  match recognize_statement source with
-  | Ok pattern -> compile t pattern
-  | Error _ as e -> e
-
-let record (t : t) (s : Stats.t) =
-  Metrics.Counter.incr ~by:s.Stats.comm_cycles t.comm_cycles;
-  Metrics.Counter.incr ~by:s.Stats.compute_cycles t.compute_cycles;
-  Metrics.Gauge.add t.frontend_s s.Stats.frontend_s;
-  Metrics.Histogram.observe t.per_call_compute
-    (float_of_int s.Stats.compute_cycles)
-
 let warn_rejection fp e =
   Log.warn (fun m ->
       m "stencil %s rejected: %s" fp (Outcome.reject_to_string e))
@@ -423,23 +402,22 @@ let compiled_streams pattern =
   Pattern.tap_count pattern
   + Option.fold ~none:0 ~some:(fun _ -> 1) (Pattern.bias pattern)
 
-(* The resolve step every request takes before the driver: check the
-   input, look up the cache, rebind, choose the backend and get the
-   kernel or the plan.  Every input error — an unbound array, a
-   mis-shaped array, a grid that does not divide over the node grid, a
-   border wider than the subgrid — is refused here, before the cache
-   is touched, so neither the driver nor the guard ladder ever sees
-   one; so are regions larger than the node memory left to the
-   backend's arena, once the backend is known.  [fft] (false for
-   batches, which are always compiled) admits the transform path:
-   under it the planner prices both backends (ties to compiled; a
-   stencil the compiler rejects falls through to the transform), and a
-   pattern with spatially-varying coefficients — not a convolution —
-   is served by its compiled plan when one exists, as is one whose
-   regions do not fit above the standing arena.  Raises
-   [Finding.Failed] when a fresh transform plan fails its proof and
-   there is no compiled plan to fall back on. *)
-let resolve (t : t) ~fft pattern env =
+(* The resolve step every request — and every statement of a batch —
+   takes before {!Exec.exec}: check the input, look up the cache,
+   rebind, choose the backend and get the kernel or the plan.  Every
+   input error — an unbound array, a mis-shaped array, a grid that does
+   not divide over the node grid, a border wider than the subgrid — is
+   refused here, before the cache is touched, so neither the executor nor
+   the guard ladder ever sees one; so are regions larger than the node
+   memory left to the backend's arena, once the backend is known.  The
+   planner prices both backends (ties to compiled; a stencil the
+   compiler rejects falls through to the transform), and a pattern with
+   spatially-varying coefficients — not a convolution — is served by
+   its compiled plan when one exists, as is one whose regions do not
+   fit above the standing arena.  Raises [Finding.Failed] when a fresh
+   transform plan fails its proof and there is no compiled plan to
+   fall back on. *)
+let resolve (t : t) pattern env =
   let fp = Fingerprint.pattern pattern in
   let refuse e =
     warn_rejection fp e;
@@ -452,7 +430,7 @@ let resolve (t : t) ~fft pattern env =
         Exec.check arena [ Ccc_stencil.Multi.of_pattern pattern ] ~streams env)
   in
   let streams = compiled_streams pattern in
-  match fits t.arena ~streams:(if fft then 0 else streams) with
+  match fits t.arena ~streams:0 with
   | Error e -> refuse e
   | Ok (sub_rows, sub_cols) -> (
       let entry = lookup_entry t ~fp pattern in
@@ -465,13 +443,10 @@ let resolve (t : t) ~fft pattern env =
             | Error e -> refuse e)
         | None -> refuse (Outcome.Resource_error (rejections_of entry))
       in
-      let choice =
-        if fft then
-          Exec.select_backend ~sub_rows ~sub_cols t.config
-            (Option.map fst compiled)
-        else `Compiled
-      in
-      match choice with
+      match
+        Exec.select_backend ~sub_rows ~sub_cols t.config
+          (Option.map fst compiled)
+      with
       | `Compiled -> on_compiled []
       | `Fft -> (
           match fits (Exec.Arena.transient t.machine) ~streams:0 with
@@ -493,42 +468,81 @@ let statement pattern = function
   | On_compiled (c, k) -> Exec.compiled ~kernel:k c
   | On_fft plan -> Exec.transform ~plan pattern
 
-(* Compiled statements run on the standing arena; the transform runs on
-   a transient arena above it, so the arena counters count compiled
-   reuse only. *)
-let execute ?mode ?iterations ?hooks (t : t) pattern backend env =
+(* A program holding a compiled statement runs on the standing arena;
+   a transform-only program runs on a transient arena above it, so the
+   arena counters count compiled reuse only. *)
+let execute ?mode ?iterations ?hooks (t : t) program env =
   let arena =
-    match backend with
-    | On_compiled _ -> t.arena
-    | On_fft _ -> Exec.Arena.transient t.machine
+    if
+      List.exists
+        (fun st ->
+          match st.Exec.plan with
+          | Exec.Compiled _ -> true
+          | Exec.Transform _ -> false)
+        program
+    then t.arena
+    else Exec.Arena.transient t.machine
   in
-  Exec.single
-    (Exec.exec ~obs:t.obs ?mode ?iterations ~pool:t.pool ?hooks arena
-       [ statement pattern backend ] env)
+  Exec.exec ~obs:t.obs ?mode ?iterations ~pool:t.pool ?hooks arena program env
 
-let record_run (t : t) backend (result : Exec.result) =
-  Metrics.Counter.incr t.runs;
-  record t result.Exec.stats;
-  match backend with
-  | On_compiled _ -> ()
-  | On_fft _ ->
-      Metrics.Counter.incr t.fft_runs;
-      Metrics.Histogram.observe t.fft_per_call
-        (float_of_int result.Exec.stats.Stats.compute_cycles)
+(* Count one execution under [counter] ([runs] or [batches]) and fold
+   in its totals; every transform statement is also an [fft_runs]
+   execution, observed with its own compute cycles. *)
+let record (t : t) counter program (b : Exec.batch) =
+  let s = b.Exec.batch_stats in
+  Metrics.Counter.incr counter;
+  Metrics.Counter.incr ~by:s.Stats.comm_cycles t.comm_cycles;
+  Metrics.Counter.incr ~by:s.Stats.compute_cycles t.compute_cycles;
+  Metrics.Gauge.add t.frontend_s s.Stats.frontend_s;
+  Metrics.Histogram.observe t.per_call_compute
+    (float_of_int s.Stats.compute_cycles);
+  List.iter2
+    (fun st (r : Exec.result) ->
+      match st.Exec.plan with
+      | Exec.Compiled _ -> ()
+      | Exec.Transform _ ->
+          Metrics.Counter.incr t.fft_runs;
+          Metrics.Histogram.observe t.fft_per_call
+            (float_of_int r.Exec.stats.Stats.compute_cycles))
+    program b.Exec.batch_results
+
+(* The one unguarded path, of {!run} (one statement, counted under
+   [runs]) and {!run_batch} (counted under [batches]): resolve every
+   statement as a lone request would be, execute them as one program
+   and record it.  Only the executor's own check can still refuse the
+   program as a whole — its regions against the arena, or one array
+   read under two boundary semantics. *)
+let run_program ?mode ?iterations t counter patterns env =
+  let rec resolve_all acc = function
+    | [] -> Ok (List.rev acc)
+    | p :: rest -> (
+        match resolve t p env with
+        | Ok r -> resolve_all (statement p r.backend :: acc) rest
+        | Error (_, e) -> Error e)
+  in
+  match resolve_all [] patterns with
+  | Error _ as e -> e
+  | Ok program -> (
+      match
+        Outcome.checked (fun () -> execute ?mode ?iterations t program env)
+      with
+      | Ok batch ->
+          record t counter program batch;
+          Ok batch
+      | Error e ->
+          Log.warn (fun m ->
+              m "program [%s] rejected: %s"
+                (String.concat ", " (List.map Fingerprint.pattern patterns))
+                (Outcome.reject_to_string e));
+          Error e)
 
 let run ?mode ?iterations t pattern env =
   check_owner t "run";
-  match resolve t ~fft:true pattern env with
-  | Error (_, e) -> Error e
-  | Ok r ->
-      let result = execute ?mode ?iterations t pattern r.backend env in
-      record_run t r.backend result;
-      Ok result
+  Result.map Exec.single (run_program ?mode ?iterations t t.runs [ pattern ] env)
 
-let run_statement ?mode ?iterations t source env =
-  match recognize_statement source with
-  | Ok pattern -> run ?mode ?iterations t pattern env
-  | Error _ as e -> e
+let run_batch ?mode t patterns env =
+  check_owner t "run_batch";
+  run_program ?mode t t.batches patterns env
 
 (* The recovery ladder: guarded run -> bounded same-artifact retries
    (a transient fault leaves nothing behind, so a re-run of the same
@@ -570,12 +584,16 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
   let attempt backend =
     let watch = Guard.watch pattern in
     let hooks = Exec.compose_hooks inject watch.Guard.hooks in
-    match execute ?mode ?iterations ~hooks t pattern backend env with
-    | result -> (
+    let program = [ statement pattern backend ] in
+    match execute ?mode ?iterations ~hooks t program env with
+    | batch -> (
+        let result = Exec.single batch in
         match
           !(watch.Guard.caught) @ Guard.check_output pattern env result.Exec.output
         with
-        | [] -> Ok result
+        | [] ->
+            record t t.runs program batch;
+            Ok result
         | fs -> Error fs)
     | exception Finding.Failed fs -> Error fs
     | exception exn ->
@@ -636,9 +654,7 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
   in
   let rec ladder r backend budget acc rebuilt =
     match attempt backend with
-    | Ok result ->
-        record_run t backend result;
-        Outcome.completed ~fingerprint:r.fp result
+    | Ok result -> Outcome.completed ~fingerprint:r.fp result
     | Error fs ->
         note_detection r.fp fs;
         let acc = acc @ fs in
@@ -653,7 +669,7 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
           | Error diagnosis -> degrade r.fp (acc @ diagnosis) rebuilt
         else degrade r.fp acc rebuilt
   in
-  match resolve t ~fft:true pattern env with
+  match resolve t pattern env with
   | Error (fp, e) -> Outcome.refused ~fingerprint:fp e
   | Ok r -> ladder r r.backend max_retries r.prior false
   | exception Finding.Failed fs ->
@@ -663,83 +679,6 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
       let fp = Fingerprint.pattern pattern in
       Metrics.Counter.incr t.guard_detections;
       degrade fp fs false
-
-let check_batch patterns =
-  match patterns with
-  | [] -> Error (Outcome.Invalid_batch "a batch needs at least one statement")
-  | first :: rest ->
-      let source_var = Pattern.source_var first in
-      let boundary = Pattern.boundary first in
-      let rec check = function
-        | [] -> Ok ()
-        | p :: rest ->
-            if Pattern.source_var p <> source_var then
-              Error
-                (Outcome.Invalid_batch
-                   (Printf.sprintf
-                      "statements read %s and %s; a batch shares one source \
-                       array behind one halo exchange"
-                      source_var (Pattern.source_var p)))
-            else if not (Boundary.equal (Pattern.boundary p) boundary) then
-              Error
-                (Outcome.Invalid_batch
-                   "statements mix boundary semantics; a batch shares one \
-                    halo exchange")
-            else check rest
-      in
-      check rest
-
-let run_batch ?mode t patterns env =
-  check_owner t "run_batch";
-  match check_batch patterns with
-  | Error e ->
-      (match patterns with
-      | p :: _ -> warn_rejection (Fingerprint.pattern p) e
-      | [] -> Log.warn (fun m -> m "empty batch rejected"));
-      Error e
-  | Ok () -> (
-      let rec resolve_all acc = function
-        | [] -> Ok (List.rev acc)
-        | p :: rest -> (
-            match resolve t ~fft:false p env with
-            | Ok r -> resolve_all (statement p r.backend :: acc) rest
-            | Error (_, e) -> Error e)
-      in
-      let fits () =
-        Outcome.checked (fun () ->
-            Exec.check t.arena
-              (List.map Ccc_stencil.Multi.of_pattern patterns)
-              ~streams:
-                (List.fold_left (fun acc p -> max acc (compiled_streams p)) 0
-                   patterns)
-              env)
-      in
-      match resolve_all [] patterns with
-      | Error _ as e -> e
-      | Ok statements -> (
-          match fits () with
-          | Error e ->
-              warn_rejection (Fingerprint.pattern (List.hd patterns)) e;
-              Error e
-          | Ok _ ->
-              let batch =
-                Exec.exec ~obs:t.obs ?mode ~pool:t.pool t.arena statements env
-              in
-              Metrics.Counter.incr t.batches;
-              record t batch.Exec.batch_stats;
-              Ok batch))
-
-let run_batch_statements ?mode t sources env =
-  let rec recognize_all acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> (
-        match recognize_statement s with
-        | Ok pattern -> recognize_all (pattern :: acc) rest
-        | Error _ as e -> e)
-  in
-  match recognize_all [] sources with
-  | Ok patterns -> run_batch ?mode t patterns env
-  | Error _ as e -> e
 
 let reset t =
   check_owner t "reset";

@@ -16,19 +16,23 @@
     - a standing {e arena} ({!Ccc_runtime.Exec.Arena}) of machine
       regions, so repeated same-shape calls skip the per-call
       allocate/release cycle of {!Ccc_runtime.Exec.run};
-    - {!run_batch}, which executes several statements over the same
-      source array behind a single halo exchange and a single
+    - {!run_batch}, which executes several statements as one program
+      behind one halo exchange per source array and a single
       front-end launch — the strength-reduced host loop of section 7.
 
-    Every request passes one resolve step before the driver
-    ({!Ccc_runtime.Exec.exec}) runs it: the input is checked, the
-    cache looked up, the plans rebound to the request's names, the
-    backend chosen and the kernel or transform plan fetched.  Input
-    errors are refused there as {!Outcome.reject} values, never as
-    escaping exceptions: an unbound or mis-shaped array, a grid that
-    does not divide over the node grid, and regions larger than the
-    node memory left to the engine's arena, as [Parse_error]; a
-    border wider than the per-node subgrid as [Too_small]. *)
+    {!run} and {!run_batch} take one path: every statement passes the
+    same resolve step — the input is checked, the cache looked up,
+    the plans rebound to the request's names, the backend chosen and
+    the kernel or transform plan fetched — then the executor
+    ({!Ccc_runtime.Exec.exec}) runs the statements as one program and
+    the engine records it.  A single request is the one-statement
+    case.  Input errors are refused as {!Outcome.reject} values,
+    never as escaping exceptions: an unbound or mis-shaped array, a
+    grid that does not divide over the node grid, and regions larger
+    than the node memory left to the engine's arena, as
+    [Parse_error]; a border wider than the per-node subgrid as
+    [Too_small]; statements that read one array under two boundary
+    semantics as [Invalid_batch]. *)
 
 type t
 
@@ -40,11 +44,6 @@ type settings = {
   memory_words : int option;
       (** per-node memory capacity ([None] = machine default); the
           host materializes only the words the engine's runs reach *)
-  queue_depth : int;
-      (** serving: per-tenant admission bound enforced by the PR-7
-          scheduler above this engine (default 64) *)
-  tenants : int;
-      (** serving: distinct tenants the scheduler admits (default 16) *)
   widths : int list option;
       (** multistencil widths offered to the compiler; [None] (the
           default) defers to
@@ -143,17 +142,14 @@ val compile :
     transform path (one shape at a time, like the arena), counted
     under [engine.fft.builds] / [engine.fft.rebinds]. *)
 
-val compile_statement :
-  t -> string -> (Ccc_compiler.Compile.t, Outcome.reject) result
-(** Parse and recognize one bare Fortran assignment, then {!compile}. *)
-
 val recognize_statement :
   string -> (Ccc_stencil.Pattern.t, Outcome.reject) result
-(** The front half of {!compile_statement}: parse and recognize one
-    bare assignment without touching any engine (pure, callable from
-    any domain).  The serve scheduler resolves [Request.Text] stencils
-    through this before routing, so a malformed request is refused at
-    admission rather than on a worker. *)
+(** Parse and recognize one bare Fortran assignment without touching
+    any engine (pure, callable from any domain); pass the pattern to
+    {!run}, {!run_guarded} or {!run_batch}.  The serve scheduler
+    resolves [Request.Text] stencils through this before routing, so a
+    malformed request is refused at admission rather than on a
+    worker. *)
 
 (** {1 Execution} *)
 
@@ -164,7 +160,7 @@ val run :
   Ccc_stencil.Pattern.t ->
   Ccc_runtime.Reference.env ->
   (Ccc_runtime.Exec.result, Outcome.reject) result
-(** Resolve the request and execute it.  The planner
+(** Resolve the request and execute it, unguarded.  The planner
     ({!Ccc_runtime.Exec.select_backend}) picks compiled or transform
     per request by predicted cycles, and a stencil the compiler
     rejects falls through to the transform path instead of
@@ -178,15 +174,10 @@ val run :
     pattern with spatially-varying coefficients is not a convolution:
     the transform path refuses it and the engine falls back to the
     compiled plan when one exists, [Error (Resource_error _)]
-    otherwise. *)
-
-val run_statement :
-  ?mode:Ccc_runtime.Exec.mode ->
-  ?iterations:int ->
-  t ->
-  string ->
-  Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.result, Outcome.reject) result
+    otherwise.  Raises [Ccc_analysis.Finding.Failed] when a freshly
+    built transform plan fails its sandbox proof and the stencil has
+    no compiled plan to fall back on ({!run_guarded} degrades
+    instead). *)
 
 (** {1 Guarded execution}
 
@@ -209,7 +200,10 @@ val run_statement :
     [Degraded] outcome carrying every finding gathered on the way
     down.  Input errors never reach the ladder — the resolve step
     refuses them first.  The ladder counts under [engine.guard.*] and
-    [engine.kernel.verifies] in the metrics registry. *)
+    [engine.kernel.verifies] in the metrics registry.  There is no
+    guarded batch: {!run_batch} runs unchecked, so the serve
+    scheduler's multi-stencil windows are not guarded — only its
+    singleton classes run here. *)
 
 val run_guarded :
   ?mode:Ccc_runtime.Exec.mode ->
@@ -237,35 +231,35 @@ val run_batch :
   Ccc_stencil.Pattern.t list ->
   Ccc_runtime.Reference.env ->
   (Ccc_runtime.Exec.batch, Outcome.reject) result
-(** Execute several statements over the same source array as one
-    program: one halo exchange and one front-end launch; see
-    {!Ccc_runtime.Exec.batch} for the statistics contract.  Batches
-    are always compiled.  All statements must name the same source
-    variable and boundary semantics ([Error (Invalid_batch _)]
-    otherwise), and each passes the resolve step of {!run}. *)
-
-val run_batch_statements :
-  ?mode:Ccc_runtime.Exec.mode ->
-  t ->
-  string list ->
-  Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.batch, Outcome.reject) result
+(** Execute several statements as one program, unguarded: one halo
+    exchange per source array and one front-end launch; see
+    {!Ccc_runtime.Exec.batch} for the statistics contract.  Each
+    statement passes the resolve step of {!run} and gets the backend
+    a lone request would get, so a batch may mix compiled and
+    transform statements and read several source arrays; the program
+    runs on the standing arena when it holds a compiled statement, on
+    a transient arena otherwise.  The executor's check then refuses the
+    program as a whole: an empty batch, or one array read under two
+    boundary semantics, as [Error (Invalid_batch _)]; regions that do
+    not fit the arena as [Error (Parse_error _)].  Raises like {!run}
+    when a statement's fresh transform plan fails its proof. *)
 
 (** {1 Counters} *)
 
 type stats = {
   jobs : int;  (** the resident pool's size (settings echo) *)
-  queue_depth : int;  (** serving admission bound (settings echo) *)
-  tenants : int;  (** serving tenant limit (settings echo) *)
   hits : int;  (** cache hits (plans served without compilation) *)
   misses : int;  (** cache misses (including failed compilations) *)
   evictions : int;
   entries : int;  (** live cache entries *)
   capacity : int;
   compiles : int;  (** successful compilations = misses that compiled *)
-  runs : int;  (** single-statement executions (either path) *)
-  batches : int;  (** batched executions *)
-  fft_runs : int;  (** executions served by the transform path *)
+  runs : int;
+      (** {!run} and {!run_guarded} executions (either path) *)
+  batches : int;  (** {!run_batch} executions *)
+  fft_runs : int;
+      (** statements served by the transform path, alone or in a
+          batch *)
   fft_builds : int;
       (** transform plans built and sandbox-proved (misses, shape or
           renaming changes, and guard-ladder rebuilds) *)
@@ -290,8 +284,8 @@ type stats = {
 val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
-(** Renders {!stats} in a stable field order — identity line (jobs,
-    queue depth, tenants), plan cache, work counts, transform path,
+(** Renders {!stats} in a stable field order — identity line (jobs),
+    plan cache, work counts, transform path,
     arena, accumulated cycles, per-call histogram — shared with the
     serve scheduler's stats printer, which prints its own
     identity/admission/work lines in the same discipline and embeds

@@ -39,6 +39,7 @@ let checked f =
       Error (Parse_error (Printf.sprintf "unbound array %s" name))
   | exception Ccc_runtime.Reference.Shape_mismatch m -> Error (Parse_error m)
   | exception Exec.Too_small m -> Error (Too_small m)
+  | exception Exec.Invalid_program m -> Error (Invalid_batch m)
 
 let fingerprint = function
   | Completed { fingerprint; _ }

@@ -35,8 +35,9 @@ type reject =
   | Too_small of string
       (** the subgrid cannot accommodate the stencil's border *)
   | Invalid_batch of string
-      (** the batch statements do not share a source array and
-          boundary semantics *)
+      (** the batch statements cannot run as one program: there are
+          none, or two read one source array under different boundary
+          semantics *)
 
 type shed =
   | Overloaded of { tenant : string; queued : int; limit : int }
@@ -75,8 +76,9 @@ val checked : (unit -> 'a) -> ('a, reject) result
     unbound array, arrays of different shapes, a grid that does not
     divide over the node grid, and regions that do not fit the node
     memory the arena can still allocate as [Parse_error]; a border
-    wider than the per-node subgrid as [Too_small].  Other exceptions
-    pass through. *)
+    wider than the per-node subgrid as [Too_small]; statements that do
+    not form one program ({!Ccc_runtime.Exec.Invalid_program}) as
+    [Invalid_batch].  Other exceptions pass through. *)
 
 (** {1 Accessors} *)
 

@@ -458,18 +458,28 @@ let test_engine_owner_check () =
   | Ok _ -> ()
   | Error e ->
       Alcotest.failf "owner run failed: %s" (Ccc.Outcome.reject_to_string e));
+  let owner = (Domain.self () :> int) in
   let outcome =
     Domain.join
       (Domain.spawn (fun () ->
+           let me = (Domain.self () :> int) in
            match Ccc.Engine.run engine pattern env with
-           | exception Finding.Failed fs when has_check Finding.Ownership fs ->
-               `Refused
+           | exception Finding.Failed [ f ] when f.Finding.check = Finding.Ownership
+             ->
+               `Refused (me, f.Finding.message)
            | _ -> `Allowed
            | exception _ -> `Other))
   in
-  Alcotest.(check bool) "foreign domain refused with an ownership finding"
-    true
-    (outcome = `Refused)
+  match outcome with
+  | `Refused (me, message) ->
+      Alcotest.(check string) "foreign domain refused with an ownership finding"
+        (Printf.sprintf
+           "Engine.run called from domain %d: the engine (plan cache, arena, \
+            pool) is owned by the domain that created it (%d); share work \
+            through the pool, not the engine handle"
+           me owner)
+        message
+  | `Allowed | `Other -> Alcotest.fail "a foreign domain must be refused"
 
 let test_metrics_stress () =
   let registry = Ccc.Metrics.create () in

@@ -219,6 +219,55 @@ let test_batched_window () =
   Alcotest.(check int) "no singleton runs" 0 es.Engine.runs;
   Engine.shutdown baseline
 
+(* A dense 7x7 Gaussian with scalar coefficients: no multistencil width
+   compiles it, so the engine serves it from the transform path.
+   [scale] inflates every coefficient. *)
+let gauss7 ?(scale = 1.0) () =
+  let offs = List.init 7 (fun i -> i - 3) in
+  Pattern.create
+    (List.concat_map
+       (fun drow ->
+         List.map
+           (fun dcol ->
+             Tap.make (Offset.make ~drow ~dcol)
+               (Coeff.Scalar
+                  (scale
+                  *. exp (-.float_of_int ((drow * drow) + (dcol * dcol)) /. 8.0)
+                  )))
+           offs)
+       offs)
+
+(* A window mixing backends batches like any other: cross5 compiled and
+   gauss7 through the transform, one halo exchange of X, each output
+   bit-identical to its own unbatched run. *)
+let test_mixed_backend_window () =
+  let p1 = cross5 () and p2 = gauss7 () in
+  let env = env_for ~rows:32 ~cols:32 p1 in
+  let reqs =
+    List.map (fun p -> Request.v ~tenant:"a" ~env (Request.Pattern p)) [ p1; p2 ]
+  in
+  let responses, stats = serve_trace ~shards:1 reqs in
+  let baseline = Engine.create config in
+  Fun.protect ~finally:(fun () -> Engine.shutdown baseline) @@ fun () ->
+  List.iter2
+    (fun (r : Serve.response) p ->
+      (match r.Serve.outcome with
+      | Outcome.Completed _ -> ()
+      | o -> Alcotest.failf "expected completed, got %s" (Outcome.to_string o));
+      let seq =
+        match Engine.run baseline p env with
+        | Ok r -> r.Exec.output
+        | Error e -> Alcotest.failf "baseline: %s" (Outcome.reject_to_string e)
+      in
+      check_bit_identical "batched output" seq (output_exn "batched" r);
+      Alcotest.(check int) "two statements in the shared run" 2
+        r.Serve.batched)
+    responses [ p1; p2 ];
+  let _, es = List.hd stats.Serve.engines in
+  Alcotest.(check (list int))
+    "batches, runs, fft runs" [ 1; 0; 1 ]
+    [ es.Engine.batches; es.Engine.runs; es.Engine.fft_runs ]
+
 (* --- deadlines (injectable clock) ---------------------------------- *)
 
 let test_deadline_at_admission () =
@@ -272,8 +321,7 @@ let test_deadline_at_dispatch () =
 (* --- load shedding ------------------------------------------------- *)
 
 let test_queue_depth_shedding () =
-  let settings = { Engine.default_settings with queue_depth = 2 } in
-  let t = Serve.create ~settings ~shards:1 ~paused:true config in
+  let t = Serve.create ~queue_depth:2 ~shards:1 ~paused:true config in
   let p = cross5 () in
   let env = env_for ~rows:16 ~cols:16 p in
   let submit () =
@@ -300,8 +348,7 @@ let test_queue_depth_shedding () =
   Serve.shutdown t
 
 let test_tenant_table_shedding () =
-  let settings = { Engine.default_settings with tenants = 1 } in
-  let t = Serve.create ~settings ~shards:1 ~paused:true config in
+  let t = Serve.create ~tenants:1 ~shards:1 ~paused:true config in
   let p = cross5 () in
   let env = env_for ~rows:16 ~cols:16 p in
   let _a = Serve.submit t (Request.v ~tenant:"alice" ~env (Request.Pattern p)) in
@@ -721,6 +768,34 @@ let test_oversize_window () =
     (wait_within t (submit p small));
   Serve.shutdown t
 
+(* Coefficients this large put the transform's rounding error above the
+   1e-9 proof tolerance, so a fresh plan fails its sandbox proof and
+   there is no compiled plan: [Engine.run] raises, [run_guarded]
+   degrades.  In a window the batch raises too; the window falls back
+   to per-class guarded runs and the shard's worker survives. *)
+let test_failed_proof_window () =
+  let p1 = cross5 () and p2 = gauss7 ~scale:1e8 () in
+  let env = env_for ~rows:32 ~cols:32 p1 in
+  let engine = Engine.create config in
+  (match Engine.run engine p2 env with
+  | exception Finding.Failed _ -> ()
+  | _ -> Alcotest.fail "Engine.run must raise on a failed transform proof");
+  Engine.shutdown engine;
+  let t = Serve.create ~shards:1 ~paused:true config in
+  let submit p = Serve.submit t (Request.v ~tenant:"a" ~env (Request.Pattern p)) in
+  let t1 = submit p1 and t2 = submit p2 in
+  Serve.resume t;
+  let r1 = wait_within t t1 and r2 = wait_within t t2 in
+  expect_completed "cross5 after the fallback" p1 env r1;
+  (match r2.Serve.outcome with
+  | Outcome.Degraded _ -> ()
+  | o -> Alcotest.failf "gauss7: expected degraded, got %s" (Outcome.to_string o));
+  Alcotest.(check (list int)) "both ran alone" [ 1; 1 ]
+    [ r1.Serve.batched; r2.Serve.batched ];
+  expect_completed "request submitted afterwards" p1 env
+    (wait_within t (submit p1));
+  Serve.shutdown t
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -740,6 +815,8 @@ let () =
           Alcotest.test_case "duplicates share one run" `Quick test_coalescing;
           Alcotest.test_case "distinct patterns batch in one window" `Quick
             test_batched_window;
+          Alcotest.test_case "compiled and transform batch in one window"
+            `Quick test_mixed_backend_window;
         ] );
       ( "deadlines",
         [
@@ -785,5 +862,7 @@ let () =
             test_malformed_batch;
           Alcotest.test_case "an oversize window is refused" `Quick
             test_oversize_window;
+          Alcotest.test_case "a failed transform proof falls back" `Quick
+            test_failed_proof_window;
         ] );
     ]

@@ -448,16 +448,21 @@ let test_batch_amortizes () =
   if Stats.elapsed_s bs >= List.fold_left (fun acc r -> acc +. Stats.elapsed_s r.Exec.stats) 0.0 one_shot
   then Alcotest.fail "a batch must be faster end to end than N one-shots"
 
+(* The one batch rule left, checked by the executor: an array is
+   exchanged once, under one boundary.  An empty batch is no program
+   either. *)
 let test_batch_validation () =
   let engine = Engine.create config in
   let env = env_for ~rows:16 ~cols:16 (cross5 ()) in
-  (match Engine.run_batch engine [] env with
-  | Error (Outcome.Invalid_batch _) -> ()
-  | _ -> Alcotest.fail "empty batch must be Invalid_batch");
-  let mixed = [ cross5 ~source:"X" (); cross5 ~source:"Y" () ] in
-  (match Engine.run_batch engine mixed env with
-  | Error (Outcome.Invalid_batch _) -> ()
-  | _ -> Alcotest.fail "mixed sources must be Invalid_batch");
+  let invalid what expected = function
+    | Error (Outcome.Invalid_batch m) -> Alcotest.(check string) what expected m
+    | Error e ->
+        Alcotest.failf "%s: expected Invalid_batch, got %s" what
+          (Outcome.reject_to_string e)
+    | Ok _ -> Alcotest.failf "%s: expected Invalid_batch, got a result" what
+  in
+  invalid "empty batch" "a batch needs at least one statement"
+    (Engine.run_batch engine [] env);
   let boundaries =
     [
       cross5 ();
@@ -465,9 +470,96 @@ let test_batch_validation () =
         [ (-1, 0); (0, -1); (0, 0); (0, 1); (1, 0) ];
     ]
   in
-  match Engine.run_batch engine boundaries env with
-  | Error (Outcome.Invalid_batch _) -> ()
-  | _ -> Alcotest.fail "mixed boundaries must be Invalid_batch"
+  invalid "mixed boundaries on X"
+    "statements mix boundary semantics; a batch shares one halo exchange"
+    (Engine.run_batch engine boundaries env);
+  Alcotest.(check int) "no batch ran" 0 (Engine.stats engine).Engine.batches;
+  Engine.shutdown engine
+
+(* Statements over two source arrays of one environment run as one
+   program: each array is exchanged once, under its own border and
+   corner needs, and every output matches the reference evaluator. *)
+let test_batch_two_sources () =
+  let rows = 16 and cols = 16 in
+  let px = cross5 ~source:"X" ~result:"R1" () in
+  let py =
+    pattern_of_offsets ~source:"Y" ~result:"R2" [ (-2, 0); (0, 0); (1, 1) ]
+  in
+  let env = ("Y", mixed_grid ~seed:77 ~rows ~cols) :: env_for ~rows ~cols px in
+  let engine = Engine.create config in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  let batch = ok_exn (Engine.run_batch engine [ px; py ] env) in
+  let exchange p =
+    Ccc.Halo.cycles_model ~primitive:Ccc.Halo.Node_level
+      ~sub_rows:(rows / config.Ccc.Config.node_rows)
+      ~sub_cols:(cols / config.Ccc.Config.node_cols)
+      ~pad:(Pattern.max_border p) ~corners:(Pattern.needs_corners p) config
+  in
+  Alcotest.(check int)
+    "comm = one exchange of X plus one of Y"
+    (exchange px + exchange py)
+    batch.Exec.batch_stats.Stats.comm_cycles;
+  List.iter2
+    (fun p (r : Exec.result) ->
+      let diff = Grid.max_abs_diff (Ccc.Reference.apply p env) r.Exec.output in
+      if diff > 1e-9 then
+        Alcotest.failf "%s: %g from the reference" (Pattern.result_var p) diff)
+    [ px; py ] batch.Exec.batch_results;
+  Alcotest.(check int) "one batch" 1 (Engine.stats engine).Engine.batches
+
+(* A dense 7x7 Gaussian with scalar coefficients: no multistencil width
+   compiles it, so the engine serves it from the transform path. *)
+let gauss7 () =
+  let offs = List.init 7 (fun i -> i - 3) in
+  Pattern.create
+    (List.concat_map
+       (fun drow ->
+         List.map
+           (fun dcol ->
+             Tap.make (Offset.make ~drow ~dcol)
+               (Coeff.Scalar
+                  (exp (-.float_of_int ((drow * drow) + (dcol * dcol)) /. 8.0))))
+           offs)
+       offs)
+
+(* A one-statement batch is the single request: same output, compute
+   cycles and madds as [Engine.run], on either backend, counted as a
+   batch (and as a transform run when it is one), and on the same arena
+   — the standing one for a compiled statement, a transient one (which
+   the arena counters do not see) for the transform. *)
+let test_batch_of_one () =
+  let engine = Engine.create config in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  List.iter
+    (fun (what, p, fft) ->
+      let env = env_for ~rows:32 ~cols:32 p in
+      let before = Engine.stats engine in
+      let single = ok_exn (Engine.run engine p env) in
+      let batch = ok_exn (Engine.run_batch engine [ p ] env) in
+      let after = Engine.stats engine in
+      let r = List.hd batch.Exec.batch_results in
+      check_bit_identical (what ^ ": output") single.Exec.output r.Exec.output;
+      Alcotest.(check int)
+        (what ^ ": compute cycles")
+        single.Exec.stats.Stats.compute_cycles
+        batch.Exec.batch_stats.Stats.compute_cycles;
+      Alcotest.(check int)
+        (what ^ ": madds")
+        single.Exec.stats.Stats.madds_issued
+        batch.Exec.batch_stats.Stats.madds_issued;
+      let arena_calls (s : Engine.stats) =
+        s.Engine.arena_reuses + s.Engine.arena_rebuilds
+      in
+      Alcotest.(check (list int))
+        (what ^ ": runs, batches, fft runs, standing-arena calls")
+        [ 1; 1; (if fft then 2 else 0); (if fft then 0 else 2) ]
+        [
+          after.Engine.runs - before.Engine.runs;
+          after.Engine.batches - before.Engine.batches;
+          after.Engine.fft_runs - before.Engine.fft_runs;
+          arena_calls after - arena_calls before;
+        ])
+    [ ("cross5", cross5 (), false); ("gauss7", gauss7 (), true) ]
 
 (* --- input errors are refusals ------------------------------------- *)
 
@@ -629,6 +721,9 @@ let () =
           Alcotest.test_case "batch amortizes setup" `Quick
             test_batch_amortizes;
           Alcotest.test_case "batch validation" `Quick test_batch_validation;
+          Alcotest.test_case "two source arrays, one program" `Quick
+            test_batch_two_sources;
+          Alcotest.test_case "a batch of one is a run" `Quick test_batch_of_one;
         ] );
       ( "input",
         [
